@@ -213,7 +213,8 @@ TEST_P(DelayQueueFuzzIdentity, RandomMachineShapesCommitIdenticalStreams) {
   EXPECT_EQ(iw.hash, dq.hash);
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, DelayQueueFuzzIdentity, ::testing::Range<u64>(1, 9));
+INSTANTIATE_TEST_SUITE_P(Corpus, DelayQueueFuzzIdentity, ::testing::Range<u64>(1, 9),
+                         ::testing::PrintToStringParamName());
 
 // ---- snapshot round trip -----------------------------------------------------
 

@@ -159,7 +159,8 @@ TEST_P(WindowMonotonic, LargerRobNeverHurtsMemoryBoundIpc) {
   EXPECT_GE(run_rob(rob * 2), run_rob(rob) * 0.95);
 }
 
-INSTANTIATE_TEST_SUITE_P(RobSizes, WindowMonotonic, ::testing::Values(16, 32, 64));
+INSTANTIATE_TEST_SUITE_P(RobSizes, WindowMonotonic, ::testing::Values(16, 32, 64),
+                         ::testing::PrintToStringParamName());
 
 TEST(WrongPath, FetchesAndSquashesWithoutCommitting) {
   const auto prof = workload::spec2006_profile("mcf");  // mispredict-heavy

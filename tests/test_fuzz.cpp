@@ -92,7 +92,8 @@ TEST_P(FuzzSweep, InvariantsHoldUnderRandomConfiguration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
-                         ::testing::ValuesIn(vasim::fuzzutil::seeds("config", 1, 20)));
+                         ::testing::ValuesIn(vasim::fuzzutil::seeds("config", 1, 20)),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace vasim::cpu

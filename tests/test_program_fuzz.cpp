@@ -87,7 +87,8 @@ TEST_P(ProgramFuzz, PipelineCommitsExactlyTheArchitecturalStream) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz,
-                         ::testing::ValuesIn(vasim::fuzzutil::seeds("program", 101, 15)));
+                         ::testing::ValuesIn(vasim::fuzzutil::seeds("program", 101, 15)),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace vasim::cpu

@@ -488,7 +488,8 @@ TEST_P(SchedAbsWrapAtSize, ContinuousFreezingWrapStaysSound) {
   EXPECT_GT(r.cpi.slots[static_cast<std::size_t>(obs::CpiCause::kSlotFreeze)], 1'000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(IqSizes, SchedAbsWrapAtSize, ::testing::Values(64, 256, 512));
+INSTANTIATE_TEST_SUITE_P(IqSizes, SchedAbsWrapAtSize, ::testing::Values(64, 256, 512),
+                         ::testing::PrintToStringParamName());
 
 class SchedWheelSquashSkipAtSize : public ::testing::TestWithParam<u32> {};
 
@@ -527,7 +528,8 @@ TEST_P(SchedWheelSquashSkipAtSize, FilterSquashedSkipsAndDropsCorrectBuckets) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WheelSizes, SchedWheelSquashSkipAtSize,
-                         ::testing::Values(64u, 256u, 512u));
+                         ::testing::Values(64u, 256u, 512u),
+                         ::testing::PrintToStringParamName());
 
 TEST(SchedKernelAllocations, SteadyStateCycleLoopIsAllocationFree) {
   FlatSource src;

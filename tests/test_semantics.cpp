@@ -485,7 +485,8 @@ TEST_P(ZeroFaultIdentity, AllSchemesBitIdenticalWithoutFaults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZeroFaultIdentity,
-                         ::testing::ValuesIn(vasim::fuzzutil::seeds("identity", 1, 8)));
+                         ::testing::ValuesIn(vasim::fuzzutil::seeds("identity", 1, 8)),
+                         ::testing::PrintToStringParamName());
 
 // Every scheme must commit exactly the architectural dynamic instruction
 // stream of a real program, faults and all -- the schemes may differ only
