@@ -15,8 +15,6 @@
 #include <fstream>
 #include <optional>
 #include <string>
-#include <thread>
-
 #include <vector>
 
 #include "src/adapt/dvfs.hpp"
@@ -364,134 +362,6 @@ void emit_kernel_json() {
               best_ff, best_ff / kBaselineFaultFree, best_abs, best_abs / kBaselineAbs);
 }
 
-// ---- scheduler-kernel scaling record -----------------------------------------
-
-struct SchedPoint {
-  double mips = 0.0;
-  double ipc = 0.0;
-};
-
-/// One steady-state measurement of the given core configuration: simulated
-/// MIPS of the step() loop and the achieved IPC over the same window.
-SchedPoint sched_scaling_point(const cpu::CoreConfig& cfg, bool with_faults, u64 measure) {
-  const auto prof = workload::spec2006_profile("sjeng");
-  ReplaySource src(&kernel_trace_buffer());
-  timing::PathModelConfig pcfg{prof.seed, prof.fr_high_pct / 100.0, prof.fr_low_pct / 100.0};
-  const timing::FaultModel fm(pcfg, 0.97);
-  core::TimingErrorPredictor tep({}, &fm.environment());
-  cpu::Pipeline p(cfg, with_faults ? cpu::scheme_abs() : cpu::scheme_fault_free(), &src,
-                  with_faults ? &fm : nullptr, with_faults ? &tep : nullptr);
-  constexpr u64 kWarm = 30'000;
-  while (p.committed() < kWarm) p.step();
-  const u64 c0 = p.committed();
-  const Cycle y0 = p.now();
-  const auto t0 = std::chrono::steady_clock::now();
-  while (p.committed() < kWarm + measure) p.step();
-  const auto t1 = std::chrono::steady_clock::now();
-  const double s = std::chrono::duration<double>(t1 - t0).count();
-  SchedPoint r;
-  r.mips = static_cast<double>(p.committed() - c0) / s;
-  r.ipc = static_cast<double>(p.committed() - c0) / static_cast<double>(p.now() - y0);
-  return r;
-}
-
-/// An honest machine around an IQ of `iq` entries: the ROB, register file
-/// and memory queues grow with the window so the issue queue is the resource
-/// actually being scaled (a 512-entry IQ behind a 128-entry ROB never fills).
-cpu::CoreConfig scaled_core(int iq, cpu::SchedKernel kernel) {
-  cpu::CoreConfig cfg;
-  cfg.sched_kernel = kernel;
-  cfg.iq_entries = iq;
-  cfg.rob_entries = std::max(cfg.rob_entries, iq);
-  cfg.phys_regs = cfg.rob_entries + 64;
-  cfg.lq_entries = std::max(cfg.lq_entries, cfg.rob_entries / 4);
-  cfg.sq_entries = cfg.lq_entries;
-  return cfg;
-}
-
-/// Writes BENCH_sched_scaling.json: simulated MIPS and achieved IPC against
-/// issue-queue size (32..512) for both scheduler kernels, fault-free and
-/// under the ABS scheme at 0.97 V, plus the per-size delay/issue-window
-/// speedup the docs derive the crossover point from.  VASIM_SCHED_REPS /
-/// VASIM_SCHED_COMMITS shrink the study for CI smoke runs.
-void emit_sched_scaling_json() {
-  if (env_u64("VASIM_JSON", 1) == 0) return;
-  const int reps = static_cast<int>(env_u64("VASIM_SCHED_REPS", 3));
-  const u64 measure = env_u64("VASIM_SCHED_COMMITS", 300'000);
-  constexpr int kSizes[] = {32, 64, 128, 256, 512};
-  constexpr cpu::SchedKernel kKernels[] = {cpu::SchedKernel::kIssueWindow,
-                                           cpu::SchedKernel::kDelayQueue};
-
-  struct Row {
-    const char* kernel;
-    const char* scheme;
-    int iq;
-    int rob;
-    SchedPoint pt;
-  };
-  std::vector<Row> rows;
-  for (const cpu::SchedKernel kernel : kKernels) {
-    for (const bool with_faults : {false, true}) {
-      for (const int iq : kSizes) {
-        const cpu::CoreConfig cfg = scaled_core(iq, kernel);
-        SchedPoint best;
-        for (int r = 0; r < reps; ++r) {
-          const SchedPoint p = sched_scaling_point(cfg, with_faults, measure);
-          if (p.mips > best.mips) best = p;
-        }
-        rows.push_back({cpu::to_string(kernel), with_faults ? "abs" : "fault-free", iq,
-                        cfg.rob_entries, best});
-        std::printf("[sched_scaling: %s/%s iq=%d  %.0f MIPS  ipc %.3f]\n",
-                    rows.back().kernel, rows.back().scheme, iq, best.mips, best.ipc);
-      }
-    }
-  }
-
-  const auto find_row = [&](const char* kernel, const char* scheme, int iq) -> const Row* {
-    for (const Row& r : rows) {
-      if (std::strcmp(r.kernel, kernel) == 0 && std::strcmp(r.scheme, scheme) == 0 &&
-          r.iq == iq) {
-        return &r;
-      }
-    }
-    return nullptr;
-  };
-
-  std::ofstream out("BENCH_sched_scaling.json");
-  if (!out) return;
-  char buf[256];
-  out << "{\n"
-      << "  \"bench\": \"sched_scaling\",\n"
-      << "  \"schema_version\": 1,\n"
-      << "  \"measure_commits\": " << measure << ",\n"
-      << "  \"points\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"kernel\": \"%s\", \"scheme\": \"%s\", \"iq\": %d, \"rob\": %d, "
-                  "\"mips\": %.0f, \"ipc\": %.4f}",
-                  i == 0 ? "" : ",", r.kernel, r.scheme, r.iq, r.rob, r.pt.mips, r.pt.ipc);
-    out << buf;
-  }
-  out << "\n  ],\n  \"speedup_delay_over_issue\": [";
-  bool first = true;
-  for (const char* scheme : {"fault-free", "abs"}) {
-    for (const int iq : kSizes) {
-      const Row* iw = find_row("issue-window", scheme, iq);
-      const Row* dq = find_row("delay-queue", scheme, iq);
-      if (iw == nullptr || dq == nullptr || iw->pt.mips <= 0.0) continue;
-      std::snprintf(buf, sizeof buf,
-                    "%s\n    {\"scheme\": \"%s\", \"iq\": %d, \"speedup\": %.3f}",
-                    first ? "" : ",", scheme, iq, dq->pt.mips / iw->pt.mips);
-      out << buf;
-      first = false;
-    }
-  }
-  out << "\n  ]\n}\n";
-  out.close();
-  copy_to_results("BENCH_sched_scaling.json");
-}
-
 // ---- timeline-sampling overhead record ---------------------------------------
 
 /// Writes BENCH_timeline.json: steady-state kernel MIPS with and without an
@@ -612,121 +482,6 @@ void emit_snapshot_json() {
               "(%.0f%% of grouped warmup), checksums identical]\n",
               jobs.size(), b.warmup_groups,
               static_cast<unsigned long long>(b.warmup_cycles_saved), reduction * 100.0);
-}
-
-// ---- batched lockstep scaling record ----------------------------------------
-
-/// Writes BENCH_batch.json: aggregate sweep MIPS against the lockstep batch
-/// width (B in {1, 2, 4, 8, 16}; src/core/batch.hpp) with a hard checksum
-/// identity check across widths, plus a MIPS-per-core curve over worker
-/// counts so real multi-core CI hardware catches parallel-scaling
-/// regressions the 1-CPU container cannot see.  VASIM_BATCHBENCH_INSTR /
-/// _WARMUP shrink the grid for CI smoke runs.
-void emit_batch_json() {
-  if (env_u64("VASIM_JSON", 1) == 0) return;
-  core::RunnerConfig rc;
-  rc.instructions = env_u64("VASIM_BATCHBENCH_INSTR", 20'000);
-  rc.warmup = env_u64("VASIM_BATCHBENCH_WARMUP", 4'000);
-
-  // 16 jobs so the widest batch still forms one full rotation.
-  std::vector<core::SweepJob> jobs;
-  for (const auto& name : {"bzip2", "gobmk", "sjeng", "mcf"}) {
-    const auto prof = workload::spec2006_profile(name);
-    jobs.push_back({prof, std::nullopt, 0.97, std::nullopt});
-    for (const auto& scheme : {"razor", "ep", "abs"}) {
-      jobs.push_back({prof, core::scheme_by_name(scheme), 0.97, std::nullopt});
-    }
-  }
-  const auto aggregate_mips = [&](const core::SweepReport& r) {
-    u64 committed = 0;
-    for (const auto& j : r.jobs) committed += j.result.committed;
-    return r.wall_ms > 0.0 ? static_cast<double>(committed) / (r.wall_ms * 1e3) : 0.0;
-  };
-
-  struct Point {
-    std::size_t batch;
-    double wall_ms;
-    double mips;
-  };
-  std::vector<Point> curve;
-  u64 checksum = 0;
-  for (const std::size_t b : {1, 2, 4, 8, 16}) {
-    core::SweepRunner sweeper(rc, /*workers=*/1);
-    sweeper.set_batch(b);
-    const core::SweepReport report = sweeper.run(jobs);
-    const u64 ck = core::sweep_checksum(report);
-    if (b == 1) {
-      checksum = ck;
-    } else if (ck != checksum) {
-      std::fprintf(stderr, "BENCH_batch: checksum mismatch at batch=%zu\n", b);
-      std::exit(1);
-    }
-    curve.push_back({b, report.wall_ms, aggregate_mips(report)});
-  }
-  double mips_b1 = curve.front().mips;
-  double mips_b8 = mips_b1;
-  for (const Point& p : curve) {
-    if (p.batch == 8) mips_b8 = p.mips;
-  }
-
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  struct CorePoint {
-    std::size_t workers;
-    double mips;
-  };
-  std::vector<CorePoint> per_core;
-  for (std::size_t w = 1; w <= cores; w *= 2) {
-    core::SweepRunner sweeper(rc, w);
-    sweeper.set_batch(1);
-    const core::SweepReport report = sweeper.run(jobs);
-    if (core::sweep_checksum(report) != checksum) {
-      std::fprintf(stderr, "BENCH_batch: checksum mismatch at workers=%zu\n", w);
-      std::exit(1);
-    }
-    per_core.push_back({w, aggregate_mips(report)});
-  }
-
-  std::ofstream out("BENCH_batch.json");
-  if (!out) return;
-  char buf[256];
-  out << "{\n"
-      << "  \"bench\": \"batch_lockstep\",\n"
-      << "  \"schema_version\": 1,\n"
-      << "  \"jobs\": " << jobs.size() << ",\n";
-  std::snprintf(buf, sizeof buf, "  \"checksum\": \"%016llx\",\n",
-                static_cast<unsigned long long>(checksum));
-  out << buf << "  \"checksum_identical\": true,\n"
-      << "  \"batch_curve\": [";
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%s\n    {\"batch\": %zu, \"wall_ms\": %.1f, \"mips\": %.3f}",
-                  i == 0 ? "" : ",", curve[i].batch, curve[i].wall_ms, curve[i].mips);
-    out << buf;
-  }
-  std::snprintf(buf, sizeof buf, "\n  ],\n  \"speedup_b8\": %.3f,\n  \"cores\": %u,\n",
-                mips_b1 > 0.0 ? mips_b8 / mips_b1 : 0.0, cores);
-  out << buf << "  \"per_core_curve\": [";
-  for (std::size_t i = 0; i < per_core.size(); ++i) {
-    std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"workers\": %zu, \"mips\": %.3f, \"mips_per_core\": %.3f}",
-                  i == 0 ? "" : ",", per_core[i].workers, per_core[i].mips,
-                  per_core[i].mips / static_cast<double>(per_core[i].workers));
-    out << buf;
-  }
-  out << "\n  ],\n";
-  if (cores == 1) {
-    out << "  \"caveat\": \"single-CPU environment: per-cycle pipeline work dominates, so "
-           "lockstep batching amortizes only loop dispatch on one thread; the recorded "
-           "speedup_b8 understates what the batch x worker composition delivers on "
-           "multi-core hardware (see per_core_curve there)\"\n";
-  } else {
-    out << "  \"caveat\": null\n";
-  }
-  out << "}\n";
-  out.close();
-  copy_to_results("BENCH_batch.json");
-  std::printf("[BENCH_batch.json: %zu jobs, B=1 %.2f MIPS -> B=8 %.2f MIPS (%.2fx), "
-              "%u core(s), checksums identical across widths]\n",
-              jobs.size(), mips_b1, mips_b8, mips_b1 > 0.0 ? mips_b8 / mips_b1 : 0.0, cores);
 }
 
 // ---- adaptive-clocking frontier record ---------------------------------------
@@ -878,10 +633,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   emit_stats_overhead_json();
   emit_kernel_json();
-  emit_sched_scaling_json();
   emit_timeline_json();
   emit_snapshot_json();
-  emit_batch_json();
   emit_dvfs_json();
   return 0;
 }

@@ -99,7 +99,7 @@ void ClockDomain::restore_state(snap::Reader& r) {
   for (u64& v : last_.stage_violations) v = r.get_u64();
   last_.mem_slots = r.get_u64();
   last_.total_slots = r.get_u64();
-  const u32 n = r.get_u32();
+  const u32 n = r.get_count("ADPT trajectory", 16);
   traj_.clear();
   traj_.reserve(n);
   for (u32 i = 0; i < n; ++i) {

@@ -209,30 +209,25 @@ void SemanticsChecker::on_select_visit(Cycle now, const cpu::InstState& is,
 
   // Oldest-first scan order (ABS): seq order within the pass, which must
   // agree with the 6-bit hardware timestamp's wrapped distance whenever the
-  // window span makes the timestamp unambiguous.  The delay-tracking kernel
-  // visits in readiness order, not age order, so these two checks apply only
-  // to the masked-scan kernel; every other select invariant (eligibility,
-  // pass class, LSQ spacing, load-block validity) is kernel-independent.
-  if (cfg_.sched_kernel == cpu::SchedKernel::kIssueWindow) {
+  // window span makes the timestamp unambiguous.
+  if (visit_seen_) {
+    check(seq > last_visit_seq_, "select-order", now,
+          "selection visited a younger instruction before an older ready one", seq);
+  }
+  // The 6-bit distance is exact only while the *age* span from the window
+  // head stays under 64.  Ages keep counting across squash-refetch (the
+  // refetched stream gets fresh, larger ages), so the guard must be in age
+  // space, not seq space.  Ages rise with seq among live instructions, so
+  // once one visit overflows the representable span every later visit in
+  // the pass does too -- the checked visits always form a prefix.
+  const Rec* head = oldest_rec();
+  if (head != nullptr && r->age - head->age < 64) {
+    const u8 dist = static_cast<u8>((r->age - head->age) & 63);
     if (visit_seen_) {
-      check(seq > last_visit_seq_, "select-order", now,
-            "selection visited a younger instruction before an older ready one", seq);
+      check(dist > last_visit_dist_ || seq <= last_visit_seq_, "select-order", now,
+            "ABS 6-bit timestamp order disagrees with age order", seq);
     }
-    // The 6-bit distance is exact only while the *age* span from the window
-    // head stays under 64.  Ages keep counting across squash-refetch (the
-    // refetched stream gets fresh, larger ages), so the guard must be in age
-    // space, not seq space.  Ages rise with seq among live instructions, so
-    // once one visit overflows the representable span every later visit in
-    // the pass does too -- the checked visits always form a prefix.
-    const Rec* head = oldest_rec();
-    if (head != nullptr && r->age - head->age < 64) {
-      const u8 dist = static_cast<u8>((r->age - head->age) & 63);
-      if (visit_seen_) {
-        check(dist > last_visit_dist_ || seq <= last_visit_seq_, "select-order", now,
-              "ABS 6-bit timestamp order disagrees with age order", seq);
-      }
-      last_visit_dist_ = dist;
-    }
+    last_visit_dist_ = dist;
   }
   visit_seen_ = true;
   last_visit_seq_ = seq;

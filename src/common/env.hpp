@@ -12,7 +12,7 @@ namespace vasim {
 /// unparsable.
 u64 env_u64(const std::string& name, u64 fallback);
 
-/// Reads a *count* knob (worker/batch sizes: VASIM_JOBS, VASIM_BATCH, ...)
+/// Reads a *count* knob (worker counts such as VASIM_JOBS)
 /// with loud validation instead of env_u64's silent fallback: a value that
 /// is not a plain decimal number (including trailing junk like "4x"), or is
 /// explicitly 0, warns on stderr and returns `fallback`; a value above

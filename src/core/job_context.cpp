@@ -175,7 +175,7 @@ void restore_into(JobContext& ctx, const RunSnapshot& s) {
   if (ctx.trail_obs) {
     snap::Reader r(require_v1(s.container(), kChunkTral).payload);
     const u64 commits = r.get_u64();
-    const u32 n = r.get_u32();
+    const u32 n = r.get_count("TRAL commit trail", 8);
     ctx.trail.clear();
     ctx.trail.reserve(n);
     for (u32 i = 0; i < n; ++i) ctx.trail.push_back(r.get_u64());

@@ -1,15 +1,11 @@
-// Internal per-simulation context shared by ExperimentRunner (one job at a
-// time, src/core/runner.cpp) and BatchRunner (B jobs lockstep,
-// src/core/batch.cpp).
+// Internal per-simulation context behind ExperimentRunner
+// (src/core/runner.cpp).
 //
 // A JobContext owns everything one simulation needs -- trace generator,
 // fault model, predictors, pipeline, optional semantics checker and commit
-// trail -- wired exactly as the historical run()/run_fault_free bodies did.
-// Keeping construction, snapshot capture/restore and result assembly in one
-// place is what makes the batched engine bitwise-identical to the single-job
-// path by construction: both executors drive the same object through the
-// same phase boundaries, only the interleaving of step() calls differs (and
-// contexts share no mutable state, so interleaving is unobservable).
+// trail -- wired exactly as the historical run()/run_fault_free bodies did,
+// and keeps construction, snapshot capture/restore and result assembly in
+// one place.
 //
 // This header is an implementation detail of vasim_core (namespace
 // core::detail); it is not part of the public experiment API.

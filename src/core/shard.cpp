@@ -85,7 +85,7 @@ RunResult get_run_result(snap::Reader& r) {
   out.energy.edp = r.get_f64();
   for (u64& s : out.cpi.slots) s = r.get_u64();
   out.stats = snap::get_statset(r);
-  const u32 trail = r.get_u32();
+  const u32 trail = r.get_count("fragment commit trail", 8);
   out.commit_trail.reserve(trail);
   for (u32 i = 0; i < trail; ++i) out.commit_trail.push_back(r.get_u64());
   out.checker_checks = r.get_u64();
@@ -102,7 +102,7 @@ RunResult get_run_result(snap::Reader& r) {
     d.period_hi = r.get_u32();
     d.avg_period_permille = r.get_f64();
     d.throughput = r.get_f64();
-    const u32 traj = r.get_u32();
+    const u32 traj = r.get_count("fragment DVFS trajectory", 16);
     d.trajectory.reserve(traj);
     for (u32 i = 0; i < traj; ++i) {
       adapt::TrajectoryPoint p;

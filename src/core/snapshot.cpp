@@ -129,7 +129,9 @@ void put_core_config(snap::Writer& w, const cpu::CoreConfig& c) {
   w.put_bool(c.l2_next_line_prefetch);
   w.put_bool(c.model_wrong_path);
   w.put_u64(c.watchdog_cycles);
-  w.put_u8(static_cast<u8>(c.sched_kernel));
+  // Scheduler-kernel byte: 0 is the issue window, the only kernel there is.
+  // Kept so the META layout does not change.
+  w.put_u8(0);
 }
 
 cpu::CoreConfig get_core_config(snap::Reader& r) {
@@ -162,10 +164,11 @@ cpu::CoreConfig get_core_config(snap::Reader& r) {
   c.model_wrong_path = r.get_bool();
   c.watchdog_cycles = r.get_u64();
   const u8 kernel = r.get_u8();
-  if (kernel > static_cast<u8>(cpu::SchedKernel::kDelayQueue)) {
-    throw snap::SnapshotError("unknown scheduler kernel in snapshot");
+  if (kernel == 1) {
+    throw snap::SnapshotError(
+        "snapshot uses the delay-queue scheduler kernel, which was removed");
   }
-  c.sched_kernel = static_cast<cpu::SchedKernel>(kernel);
+  if (kernel != 0) throw snap::SnapshotError("unknown scheduler kernel in snapshot");
   return c;
 }
 

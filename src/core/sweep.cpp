@@ -15,7 +15,6 @@
 
 #include "src/common/env.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/core/batch.hpp"
 #include "src/core/progress.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/obs/cpi.hpp"
@@ -219,81 +218,7 @@ SweepReport SweepRunner::run(const std::vector<SweepJob>& jobs) const {
     note_progress();
   };
 
-  // Batched lockstep mode (set_batch / VASIM_BATCH): jobs advance B at a
-  // time through BatchRunner's fused cycle loop, one chunk per pool task.
-  // Chunks are contiguous submission-order spans, so results land in the
-  // same slots as the per-job modes; group-capture failures surface as the
-  // member's error exactly like run_one would have rethrown them.
-  const BatchRunner batch_runner(cfg_, batch_);
-  const auto run_chunk = [&](std::size_t c0, std::size_t c1) {
-    // Batch mode cancels between chunks: a chunk that has not started when
-    // the token fires reports every member cancelled.
-    if (cancel_ != nullptr && cancel_->cancelled()) {
-      for (std::size_t i = c0; i < c1; ++i) {
-        report.jobs[i].cancelled = true;
-        note_progress();
-      }
-      return;
-    }
-    const auto k0 = Clock::now();
-    std::vector<BatchRunner::Cell> cells;
-    std::vector<std::size_t> index_of;  // chunk-local -> global job index
-    cells.reserve(c1 - c0);
-    for (std::size_t i = c0; i < c1; ++i) {
-      const Group* g = shared[i];
-      if (g != nullptr && g->error) {
-        errors[i] = g->error;
-        note_progress();
-        continue;
-      }
-      BatchRunner::Cell cell;
-      cell.job = &jobs[i];
-      if (g != nullptr) cell.warm = &*g->snap;
-      cells.push_back(cell);
-      index_of.push_back(i);
-    }
-    if (cells.empty()) return;
-    std::vector<RunResult> results(cells.size());
-    std::vector<std::exception_ptr> cell_errors(cells.size());
-    const std::size_t worker = worker_of(std::this_thread::get_id());
-    const double start_ms = ms_between(t0, k0);
-    batch_runner.run_cells(cells.data(), cells.size(), results.data(), cell_errors.data(),
-                           [&](std::size_t local) {
-                             SweepOutcome& out = report.jobs[index_of[local]];
-                             out.start_ms = start_ms;
-                             out.wall_ms = ms_between(k0, Clock::now());
-                             out.worker = worker;
-                             note_progress();
-                           });
-    for (std::size_t local = 0; local < cells.size(); ++local) {
-      if (cell_errors[local]) {
-        errors[index_of[local]] = cell_errors[local];
-      } else {
-        report.jobs[index_of[local]].result = std::move(results[local]);
-      }
-    }
-  };
-
-  if (batch_ > 1) {
-    if (workers_ <= 1) {
-      for (auto& [key, g] : groups) capture_group(g);
-      for (std::size_t c = 0; c < jobs.size(); c += batch_) {
-        run_chunk(c, std::min(jobs.size(), c + batch_));
-      }
-    } else {
-      ThreadPool pool(workers_);
-      for (auto& [key, g] : groups) {
-        Group* gp = &g;
-        pool.submit([&capture_group, gp] { capture_group(*gp); });
-      }
-      pool.wait_idle();
-      for (std::size_t c = 0; c < jobs.size(); c += batch_) {
-        const std::size_t c1 = std::min(jobs.size(), c + batch_);
-        pool.submit([&run_chunk, c, c1] { run_chunk(c, c1); });
-      }
-      pool.wait_idle();
-    }
-  } else if (workers_ <= 1) {
+  if (workers_ <= 1) {
     // Sequential path: exactly the historical bench behaviour, no pool.
     for (auto& [key, g] : groups) capture_group(g);
     for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -83,10 +84,6 @@ struct SweepReport {
 /// clamp instead of silently misbehaving (src/common/env.hpp, env_count).
 [[nodiscard]] std::size_t sweep_workers_from_env();
 
-/// Lockstep batch width resolution: validated `VASIM_BATCH` when set, else
-/// 1 (batching stays opt-in; same env_count validation as VASIM_JOBS).
-[[nodiscard]] std::size_t sweep_batch_from_env();
-
 /// Thread-pooled experiment fan-out.  Stateless between sweeps.
 class SweepRunner {
  public:
@@ -116,29 +113,24 @@ class SweepRunner {
   /// only the SweepReport's warmup_* accounting and wall times change.
   void set_reuse_warmup(bool on) { reuse_warmup_ = on; }
 
-  /// Lockstep batching (the third execution mode, src/core/batch.hpp): jobs
-  /// are advanced B at a time through one fused cycle loop instead of one
-  /// per pool task.  Composes with both knobs above -- each pool worker runs
-  /// a whole batch, and warm-started members fork from their group snapshot
-  /// straight into the rotation.  Results stay bitwise identical for any B;
-  /// per-job wall_ms becomes "time until this member retired within its
-  /// batch" (metadata only, never checksummed).  B <= 1 disables batching.
-  void set_batch(std::size_t batch) { batch_ = batch == 0 ? 1 : batch; }
-  [[nodiscard]] std::size_t batch() const { return batch_; }
+  /// Accepts only 1 and throws std::invalid_argument otherwise.  The
+  /// lockstep batch engine is gone; this stays so that existing callers
+  /// that pin the one-job-per-task path (perfbench does) keep compiling.
+  void set_batch(std::size_t batch) {
+    if (batch != 1) throw std::invalid_argument("SweepRunner: batch must be 1 (batching removed)");
+  }
 
   /// Cooperative cancellation: when `token` is non-null, run() checks it
-  /// between jobs (between chunks in batch mode).  Jobs that have not
-  /// started when the token fires are skipped and come back with
-  /// SweepOutcome::cancelled; jobs already running finish normally and their
-  /// results stay bitwise identical to an uncancelled sweep's
-  /// (tests/test_sweep.cpp pins both halves).  Non-owning; must outlive
-  /// run().
+  /// between jobs.  Jobs that have not started when the token fires are
+  /// skipped and come back with SweepOutcome::cancelled; jobs already running
+  /// finish normally and their results stay bitwise identical to an
+  /// uncancelled sweep's (tests/test_sweep.cpp pins both halves).
+  /// Non-owning; must outlive run().
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
  private:
   RunnerConfig cfg_;
   std::size_t workers_;
-  std::size_t batch_ = sweep_batch_from_env();
   bool progress_ = false;
   bool reuse_warmup_ = false;
   const CancelToken* cancel_ = nullptr;

@@ -9,24 +9,6 @@
 
 namespace vasim::cpu {
 
-/// Which scheduler kernel drives the select stage.
-///
-///  - kIssueWindow: the bitmask window (PR 3): candidates are a per-cycle
-///    masked scan of waiting & ready slots in ring (age) order.
-///  - kDelayQueue: readiness-ordered bucket queue (delay-tracking select,
-///    after Diavastos & Carlson's load-delay-tracking scheduler): every
-///    dispatched instruction is filed under its *expected* ready cycle
-///    (cache-hit assumption for load producers, repaired on resolve), so
-///    select pops this cycle's bucket instead of scanning the window.
-/// Both kernels produce the same committed architectural stream; cycle
-/// timing may differ (selection order within a cycle is readiness order,
-/// not strict age order), so each kernel has its own golden fixture.
-enum class SchedKernel : u8 { kIssueWindow = 0, kDelayQueue = 1 };
-
-[[nodiscard]] const char* to_string(SchedKernel k);
-/// Parses "issue-window" / "delay-queue"; returns false on anything else.
-[[nodiscard]] bool sched_kernel_from_string(const char* name, SchedKernel& out);
-
 /// Cache geometry + latency.
 struct CacheConfig {
   u64 size_bytes = 32 * 1024;
@@ -93,9 +75,6 @@ struct CoreConfig {
   /// Abort knob: cycles without a commit before the pipeline declares a
   /// deadlock (correctness invariant, exercised by tests).
   Cycle watchdog_cycles = 100'000;
-
-  /// Scheduler kernel driving the select stage (see SchedKernel).
-  SchedKernel sched_kernel = SchedKernel::kIssueWindow;
 };
 
 /// Validates the scheduling-structure geometry with named errors (throws

@@ -18,7 +18,6 @@ Pipeline::Pipeline(const CoreConfig& cfg, const SchemeConfig& scheme,
     : cfg_(cfg), scheme_(scheme), source_(source), fault_model_(fault_model),
       predictor_(predictor), memory_(cfg, &registry_), bpred_(cfg), fus_(cfg, &registry_) {
   validate_core_config(cfg_);
-  delay_mode_ = cfg_.sched_kernel == SchedKernel::kDelayQueue;
   rename_map_.resize(isa::kNumArchRegs);
   for (int a = 0; a < isa::kNumArchRegs; ++a) rename_map_[static_cast<std::size_t>(a)] = a;
   free_list_.reserve(static_cast<std::size_t>(cfg_.phys_regs));
@@ -51,15 +50,6 @@ Pipeline::Pipeline(const CoreConfig& cfg, const SchemeConfig& scheme,
   bytes += Arena::need<Event>(event_pool);                   // due_ scratch
   bytes += Arena::need<u64>(cand_words);                     // cand_words_
   bytes += Arena::need<RefetchInst>(win_cap + kFrontendCap); // re_ scratch
-  // Each window entry holds at most one live node plus a bounded number of
-  // stale ones (a re-file stales the previous node, and at most one stale
-  // node per entry survives per wheel lap), so 4x entries + slack is ample.
-  const u32 dq_pool = 4 * win_cap + 16;
-  if (delay_mode_) {
-    bytes += DelayQueue::bytes_needed(win_cap, wheel_buckets, dq_pool, num_phys);
-    bytes += Arena::need<u32>(win_cap);  // wake_slots_ scratch
-    bytes += Arena::need<u32>(win_cap);  // ready_list_ scratch
-  }
   arena_.reserve(bytes);
 
   window_.init(arena_, win_cap, num_phys);
@@ -69,11 +59,6 @@ Pipeline::Pipeline(const CoreConfig& cfg, const SchemeConfig& scheme,
   due_ = arena_.alloc<Event>(event_pool);
   cand_words_ = arena_.alloc<u64>(cand_words);
   re_ = arena_.alloc<RefetchInst>(win_cap + kFrontendCap);
-  if (delay_mode_) {
-    dq_.init(arena_, win_cap, wheel_buckets, dq_pool, num_phys);
-    wake_slots_ = arena_.alloc<u32>(win_cap);
-    ready_list_ = arena_.alloc<u32>(win_cap);
-  }
 
   // Register every hot-path counter once; the per-event cost from here on is
   // a pointer bump (the StatSet map is only touched again at snapshot time).
@@ -176,22 +161,7 @@ void Pipeline::broadcast(InstState& is) {
   // CDL (Section 3.5.2): count waiting dependents that match this tag.  The
   // wakeup is a masked scan of the not-ready waiters; a ready waiter cannot
   // match because its sources all broadcast earlier.
-  int deps;
-  if (delay_mode_) {
-    // Collect the waiters this tag completed so the delay kernel can repair
-    // early-issued producers: a consumer filed under a too-late estimate is
-    // re-filed under the current cycle, making it selectable exactly when
-    // the masked-scan kernel would first see it.
-    u32 n_ready = 0;
-    deps = window_.wake(is.phys_dst, wake_slots_, &n_ready);
-    const Cycle stored_now = now_ - event_shift_;
-    for (u32 i = 0; i < n_ready; ++i) {
-      const u32 slot = wake_slots_[i];
-      dq_.on_newly_ready(slot, window_.slot_state(slot).di.seq, stored_now);
-    }
-  } else {
-    deps = window_.wake(is.phys_dst);
-  }
+  const int deps = window_.wake(is.phys_dst);
   if (deps > 0) c_wakeup_match_.inc(static_cast<u64>(deps));
   fire([&](SchedHooks& h) { h.on_tag_broadcast(now_, is, deps); });
   if (predictor_ != nullptr && scheme_.use_predictor) {
@@ -349,10 +319,8 @@ void Pipeline::squash_younger(SeqNum last_kept, bool refetch_true_path) {
   // instructions must not fire on their successors.
   if (keep_none) {
     wheel_.clear_events();
-    if (delay_mode_) dq_.clear_entries();
   } else {
     wheel_.filter_squashed(last_kept);
-    if (delay_mode_) dq_.filter_squashed(last_kept, window_);
   }
   next_seq_ = last_kept + 1;
 
@@ -513,10 +481,6 @@ bool Pipeline::load_may_issue(const InstState& load, bool* forwarded) const {
 }
 
 void Pipeline::select_stage() {
-  if (delay_mode_) {
-    delay_select_stage();
-    return;
-  }
   int width = cfg_.issue_width - slots_frozen_now_;
   if (width <= 0) return;
 
@@ -576,114 +540,6 @@ void Pipeline::select_stage() {
   }
 
   // Utilization diagnostics (consumed by tests and the ablation bench).
-  if (!any) {
-    c_sel_no_ready_.inc();
-  } else if (issued == 0) {
-    c_sel_blocked_.inc();
-  }
-  c_sel_issued_.inc(static_cast<u64>(issued));
-  c_sel_iq_occ_.inc(static_cast<u64>(iq_count_));
-  c_sel_window_.inc(window_.size());
-  c_sel_frontend_.inc(frontend_.size());
-}
-
-Cycle Pipeline::exec_estimate(isa::OpClass op) const {
-  switch (op) {
-    case isa::OpClass::kIntMul: return cfg_.mul_latency;
-    case isa::OpClass::kIntDiv: return cfg_.div_latency;
-    case isa::OpClass::kLoad: return 1 + cfg_.l1d.latency;  // hit assumed
-    default: return 1;
-  }
-}
-
-void Pipeline::delay_select_stage() {
-  // The pop must run every scheduling cycle, selectable width or not: the
-  // wheel's time base advances in lockstep with the cycle count (stall
-  // cycles grow the shift instead, exactly like EventWheel).
-  const Cycle stored_now = now_ - event_shift_;
-  dq_.pop_due(stored_now, window_);
-
-  int width = cfg_.issue_width - slots_frozen_now_;
-  if (width <= 0) return;
-
-  const u32 n = dq_.take_ready(ready_list_);
-  constexpr u32 kIssuedMark = 0xFFFF'FFFFu;
-  bool any = false;
-  int issued = 0;
-
-  const auto try_issue = [&](u32 i) -> bool {
-    if (width == 0) return false;  // stop the walk; selection is out of slots
-    const u32 slot = ready_list_[i];
-    InstState& is = window_.slot_state(slot);
-    // LSQ CAM spacing: memops sit out the cycle behind a predicted-faulty
-    // memory-stage issue (the masked-scan kernel filters them out of the
-    // candidate set the same way).
-    if (mem_blocked_now_ && isa::is_mem(is.di.op)) return true;
-    any = true;
-    bool fwd = false;
-    if (is.di.op == isa::OpClass::kLoad) {
-      if (!load_may_issue(is, &fwd)) {  // blocked by an older store
-        fire([&](SchedHooks& h) { h.on_select_visit(now_, is, SelectOutcome::kLoadBlocked); });
-        return true;
-      }
-    }
-    if (issue_one(is, fwd)) {
-      window_.on_issued(is.di.seq);
-      dq_.on_issued(slot);
-      ready_list_[i] = kIssuedMark;
-      --width;
-      ++issued;
-      fire([&](SchedHooks& h) { h.on_select_visit(now_, is, SelectOutcome::kIssued); });
-    } else {
-      fire([&](SchedHooks& h) { h.on_select_visit(now_, is, SelectOutcome::kFuBusy); });
-    }
-    return true;
-  };
-  const auto note_pass = [&](int pass) {
-    fire([&](SchedHooks& h) { h.on_select_pass(now_, pass); });
-  };
-  // Passes walk the ready FIFO in readiness order -- the delay kernel's
-  // ordering key -- with FFS/CDS still applied as a preferred-class pass
-  // followed by the rest, mirroring the baseline's two-pass masked scans.
-  // `which`: 0 = preferred class only, 1 = the rest, 2 = everyone (age).
-  const auto run_pass = [&](int which) -> bool {
-    for (u32 i = 0; i < n; ++i) {
-      if (ready_list_[i] == kIssuedMark) continue;
-      if (which != 2) {
-        const InstState& is = window_.slot_state(ready_list_[i]);
-        const bool pref = scheme_.policy == SelectPolicy::kFaultyFirst ? is.pred_fault
-                                                                       : is.pred_critical;
-        if ((which == 0) != pref) continue;
-      }
-      if (!try_issue(i)) return false;
-    }
-    return true;
-  };
-  if (n > 0) {
-    switch (scheme_.policy) {
-      case SelectPolicy::kAge:
-        note_pass(1);
-        run_pass(2);
-        break;
-      case SelectPolicy::kFaultyFirst:
-      case SelectPolicy::kCriticalityDriven:
-        note_pass(0);
-        if (run_pass(0)) {
-          note_pass(1);
-          run_pass(1);
-        }
-        break;
-    }
-  }
-
-  // Survivors (blocked loads, FU conflicts, out-of-width) keep their
-  // readiness order for next cycle.
-  u32 kept = 0;
-  for (u32 i = 0; i < n; ++i) {
-    if (ready_list_[i] != kIssuedMark) ready_list_[kept++] = ready_list_[i];
-  }
-  dq_.put_back_ready(ready_list_, kept);
-
   if (!any) {
     c_sel_no_ready_.inc();
   } else if (issued == 0) {
@@ -780,9 +636,6 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
   // (ev.fu.* accounting happens inside FuPool::allocate.)
 
   const Cycle wakeup = now_ + exec_lat + lat_delta;
-  // The broadcast cycle is exact from here on; consumers filed under the
-  // dispatch-time estimate repair themselves against this at pop time.
-  if (delay_mode_) dq_.note_producer_actual(is.phys_dst, wakeup - event_shift_);
   schedule(wakeup, EventKind::kBroadcast, is.di.seq);
   schedule(wakeup + 1, EventKind::kComplete, is.di.seq);
 
@@ -865,14 +718,6 @@ void Pipeline::dispatch_stage() {
     if (observer_ != nullptr) observer_->on_dispatch(fi.seq);
     fire([&](SchedHooks& h) { h.on_dispatched(now_, is); });
     window_.push_back(is, p1, p2);
-    if (delay_mode_) {
-      // File under the estimated ready cycle; publish this instruction's own
-      // completion estimate (earliest select + class latency, loads assumed
-      // to hit) for consumers dispatched before it issues.
-      const Cycle due = dq_.enqueue(window_.slot_of(fi.seq), fi.seq, now_ - event_shift_,
-                                    p1 ? is.phys_src1 : kNoReg, p2 ? is.phys_src2 : kNoReg);
-      dq_.note_producer_estimate(is.phys_dst, due + exec_estimate(is.di.op));
-    }
     frontend_.pop_front();
     --budget;
     c_dispatch_.inc();
@@ -1120,15 +965,6 @@ adapt::EpochSample Pipeline::epoch_sample() const {
   return s;
 }
 
-u32 Pipeline::step_n(u32 max_cycles) {
-  u32 executed = 0;
-  while (executed < max_cycles && committed_ < commit_limit_) {
-    if (!step()) break;
-    ++executed;
-  }
-  return executed;
-}
-
 StatSet Pipeline::snapshot_stats() const {
   // The cold StatSet merged with every registry counter (which now includes
   // the cache hierarchy and FU pool) plus branch-predictor state and the
@@ -1222,10 +1058,6 @@ void Pipeline::save_state(snap::Writer& w) const {
   }
   wheel_.save_state(w);
   w.put_u64(event_shift_);
-  // Delay-kernel state rides config-gated so baseline byte streams are
-  // unchanged (the kernel choice is part of the warmup key, so a snapshot
-  // can never be restored into the other mode).
-  if (delay_mode_) dq_.save_state(w);
 
   // Cycle state.
   w.put_u64(now_);
@@ -1298,7 +1130,6 @@ void Pipeline::restore_state(snap::Reader& r) {
   }
   wheel_.restore_state(r);
   event_shift_ = r.get_u64();
-  if (delay_mode_) dq_.restore_state(r);
 
   now_ = r.get_u64();
   committed_ = r.get_u64();

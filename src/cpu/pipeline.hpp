@@ -37,7 +37,6 @@
 #include "src/cpu/cache.hpp"
 #include "src/cpu/check_hooks.hpp"
 #include "src/cpu/config.hpp"
-#include "src/cpu/delay_sched.hpp"
 #include "src/cpu/fu_pool.hpp"
 #include "src/cpu/hooks.hpp"
 #include "src/cpu/observer.hpp"
@@ -78,23 +77,6 @@ class Pipeline {
 
   /// Advances one cycle; false when everything has drained.
   bool step();
-
-  /// Advances up to `max_cycles` cycles, stopping early when the commit
-  /// limit is reached or everything drains.  Returns the cycles actually
-  /// executed.  Exactly equivalent to calling step() in a loop with the
-  /// same commit-limit guard -- the batched lockstep driver uses this to
-  /// amortize the per-job call overhead over a slice of cycles.
-  u32 step_n(u32 max_cycles);
-
-  /// True when the source is exhausted and every in-flight structure is
-  /// empty: step() would return false.
-  [[nodiscard]] bool drained() const {
-    return source_done_ && window_.empty() && frontend_.empty() && refetch_.empty();
-  }
-
-  /// Batch entry point: prefetches the scheduler's hot mask words ahead of
-  /// this pipeline's next step() slice (see IssueWindow::prefetch_hot).
-  void prefetch_hot_state() const { window_.prefetch_hot(); }
 
   // ---- external run driving (snapshot capture / warm-start restore) --------
   // run() is a thin composition of these three primitives; an external
@@ -211,9 +193,6 @@ class Pipeline {
   void process_events();
   void commit_stage();
   void select_stage();
-  /// select_stage body for SchedKernel::kDelayQueue: pop the bucket due this
-  /// cycle into the ready FIFO, then issue from the FIFO in policy order.
-  void delay_select_stage();
   void dispatch_stage();
   void fetch_stage();
 
@@ -223,9 +202,6 @@ class Pipeline {
   [[nodiscard]] bool load_may_issue(const InstState& load, bool* forwarded) const;
   /// Returns true when the instruction actually left the queue this cycle.
   bool issue_one(InstState& is, bool fwd);
-  /// Dispatch-time execution-latency estimate for the delay-tracking kernel:
-  /// class latency with loads assumed to hit the L1.
-  [[nodiscard]] Cycle exec_estimate(isa::OpClass op) const;
   /// Why no instruction can retire this cycle (CPI-stack attribution).
   [[nodiscard]] obs::CpiCause classify_empty_window() const;
   [[nodiscard]] obs::CpiCause classify_unretirable_head(const InstState& head);
@@ -266,7 +242,7 @@ class Pipeline {
 
   /// Advances the adaptive clock one cycle and steps the DVFS controller at
   /// epoch-commit thresholds (same re-arm discipline as note_timeline, so
-  /// every driver -- run, batch, shard, serve -- steps it identically).
+  /// every driver -- run, shard, serve -- steps it identically).
   void note_clock() {
     if (clock_ == nullptr) return;
     clock_->tick();
@@ -346,13 +322,6 @@ class Pipeline {
   u64* cand_words_ = nullptr;     ///< select-stage candidate mask scratch
   RefetchInst* re_ = nullptr;     ///< squash-path refetch collection scratch
   u32 re_n_ = 0;
-  // Delay-tracking kernel state (initialized and serialized only when
-  // cfg_.sched_kernel == SchedKernel::kDelayQueue; baseline runs carry no
-  // extra bytes in their arena or snapshots).
-  bool delay_mode_ = false;
-  DelayQueue dq_;
-  u32* wake_slots_ = nullptr;     ///< newly-ready collection scratch (arena)
-  u32* ready_list_ = nullptr;     ///< ready-FIFO drain scratch (arena)
 
   // ---- cycle state ---------------------------------------------------------
   Cycle now_ = 0;

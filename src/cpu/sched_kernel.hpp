@@ -354,18 +354,6 @@ class IssueWindow {
     return &cold_[slot_of(seq)];
   }
 
-  /// Batch entry point: touches the mask words and the head-of-window cold
-  /// record so a lockstep driver can pull the next job's hot state into
-  /// cache while the current job's cycle finishes (core::BatchRunner).
-  void prefetch_hot() const {
-    for (u32 w = 0; w < words_; ++w) {
-      __builtin_prefetch(&waiting_[w], 0, 3);
-      __builtin_prefetch(&ready_[w], 0, 3);
-      __builtin_prefetch(&issued_[w], 0, 3);
-    }
-    if (size_ > 0) __builtin_prefetch(&cold_[slot_of(head_seq_)], 0, 2);
-  }
-
   /// Appends the (fully initialized) record at the tail.  `src1_pending` /
   /// `src2_pending` flag the source operands that are not yet ready; the hot
   /// mirrors (including the per-register waiter masks) are derived here, in
@@ -425,10 +413,7 @@ class IssueWindow {
   /// window), so the masks cover every true waiter.  A mask bit can be
   /// stale -- its slot recycled by commit+dispatch or squash -- so each hit
   /// is validated against the live source tags before it counts.
-  /// `newly_ready`/`n_ready` (optional) collect the slots whose pending
-  /// count hit zero on this broadcast -- the delay-tracking kernel re-files
-  /// them under the current cycle (estimate repair on resolve).
-  int wake(int dst_phys, u32* newly_ready = nullptr, u32* n_ready = nullptr) {
+  int wake(int dst_phys) {
     int deps = 0;
     u64* m1w = waiters1_ + static_cast<u32>(dst_phys) * words_;
     u64* m2w = waiters2_ + static_cast<u32>(dst_phys) * words_;
@@ -445,10 +430,7 @@ class IssueWindow {
         if (!m1 && !m2) continue;  // stale bit from a recycled slot
         ++deps;
         pending_[slot] = static_cast<u8>(pending_[slot] - (m1 ? 1 : 0) - (m2 ? 1 : 0));
-        if (pending_[slot] == 0) {
-          ready_[w] |= bit;
-          if (newly_ready != nullptr) newly_ready[(*n_ready)++] = slot;
-        }
+        if (pending_[slot] == 0) ready_[w] |= bit;
       }
     }
     return deps;
@@ -516,10 +498,6 @@ class IssueWindow {
   /// predicted-faulty-and-critical).
   [[nodiscard]] const u64* predf_mask() const { return predf_; }
   [[nodiscard]] const u64* crit_mask() const { return crit_; }
-
-  /// Outstanding-operand count of a slot (the delay-tracking kernel's
-  /// pop-time readiness verification).
-  [[nodiscard]] u8 pending_of(u32 slot) const { return pending_[slot]; }
 
   /// The hardware ABS order key: 6-bit timestamp assigned at dispatch.
   /// Age order is recovered by comparing wrapped distances from the head's

@@ -185,10 +185,11 @@ Timeline Timeline::load(snap::Reader& r) {
   t.base_cycle_ = r.get_u64();
   t.base_committed_ = r.get_u64();
   t.measurement_start_ = static_cast<std::size_t>(r.get_u64());
-  const u32 nc = r.get_u32();
+  const u32 nc = r.get_count("timeline counter names", 4);  // u32 length each
   t.names_.reserve(nc);
   for (u32 i = 0; i < nc; ++i) t.names_.push_back(r.get_str());
-  const u32 nw = r.get_u32();
+  // A window is two u64 boundaries, a phase byte and one u64 per counter.
+  const u32 nw = r.get_count("timeline windows", 17 + std::size_t{8} * nc);
   t.reserve(nw);
   for (u32 i = 0; i < nw; ++i) {
     t.cycle_end_.push_back(r.get_u64());

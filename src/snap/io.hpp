@@ -117,6 +117,19 @@ class Reader {
     pos_ += n;
   }
 
+  /// Reads a u32 element count for `field` and checks that many entries of
+  /// at least `min_entry_bytes` each still fit in the payload, so a damaged
+  /// count fails by name before anything is reserved for it.
+  u32 get_count(const char* field, std::size_t min_entry_bytes) {
+    const u32 n = get_u32();
+    if (n > remaining() / min_entry_bytes) {
+      throw SnapshotError(std::string(field) + " count " + std::to_string(n) +
+                          " does not fit in the " + std::to_string(remaining()) +
+                          " bytes left");
+    }
+    return n;
+  }
+
   [[nodiscard]] std::size_t remaining() const { return n_ - pos_; }
   [[nodiscard]] bool done() const { return pos_ == n_; }
   /// Restore code calls this after consuming a chunk: trailing bytes mean

@@ -1,8 +1,8 @@
 // Adaptive clocking subsystem (src/adapt/, docs/adaptive.md): config
 // validation, the state-dependent delay model, the static-policy identity
 // guarantee (kStatic is bitwise today's behavior), controller behavior at
-// both ends of the supply range, cross-path determinism (per-job / lockstep
-// batch / shard fragments), snapshot round-trips per policy and the
+// both ends of the supply range, cross-path determinism (per-job / shard
+// fragments), snapshot round-trips per policy and the
 // cross-policy warm-start rejection.
 #include <gtest/gtest.h>
 
@@ -279,18 +279,12 @@ void expect_paths_agree(adapt::DvfsPolicy policy) {
   const std::vector<core::SweepJob> jobs = adapt_grid();
   const core::RunnerConfig rc = adapt_config(policy);
 
-  core::SweepRunner sequential(rc, 1);
-  sequential.set_batch(1);
+  const core::SweepRunner sequential(rc, 1);
   const core::SweepReport base = sequential.run(jobs);
   const u64 want = core::sweep_checksum(base);
 
-  core::SweepRunner pooled(rc, 3);
-  pooled.set_batch(1);
+  const core::SweepRunner pooled(rc, 3);
   EXPECT_EQ(core::sweep_checksum(pooled.run(jobs)), want) << "worker count changed results";
-
-  core::SweepRunner batched(rc, 2);
-  batched.set_batch(4);
-  EXPECT_EQ(core::sweep_checksum(batched.run(jobs)), want) << "lockstep batching changed results";
 
   // Shard halves through the fragment JSON codec (dvfs block included) and
   // merge back: still the same checksum.
@@ -417,6 +411,26 @@ TEST(DvfsSnapshot, ControllerStateCodecRoundTrips) {
     const u32 b = back.next_period(e, period);
     EXPECT_EQ(a, b) << "step " << i;
     period = a;
+  }
+}
+
+TEST(DvfsSnapshot, HugeTrajectoryCountIsRejectedByName) {
+  // A static domain has no controller, so its ADPT payload ends with the
+  // (empty) trajectory's u32 count.
+  const adapt::ClockDomain saved(adapt::DvfsConfig{}, 0.97);
+  snap::Writer w;
+  saved.save_state(w);
+  std::vector<unsigned char> bytes = w.take();
+  ASSERT_GE(bytes.size(), 4u);
+  std::fill(bytes.end() - 4, bytes.end(), 0xFF);
+
+  adapt::ClockDomain back(adapt::DvfsConfig{}, 0.97);
+  snap::Reader r(bytes);
+  try {
+    back.restore_state(r);
+    FAIL() << "a trajectory count of 0xFFFFFFFF was accepted";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("ADPT trajectory"), std::string::npos) << e.what();
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "src/cpu/pipeline.hpp"
 #include "src/isa/assembler.hpp"
@@ -322,6 +324,61 @@ TEST(Schemes, EpStallsTrackPredictedFaults) {
   // Every surviving predicted-faulty instruction schedules one stall.
   EXPECT_NEAR(static_cast<double>(stalls), static_cast<double>(predicted),
               0.15 * static_cast<double>(predicted));
+}
+
+// ---- config validation (named errors) ----------------------------------------
+
+void expect_invalid(const CoreConfig& cfg, const std::string& needle) {
+  try {
+    validate_core_config(cfg);
+    FAIL() << "expected invalid_argument mentioning '" << needle << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "error message '" << e.what() << "' does not mention '" << needle << "'";
+  }
+}
+
+TEST(CoreConfigValidation, NamedErrorsForEachConstraint) {
+  CoreConfig ok;
+  EXPECT_NO_THROW(validate_core_config(ok));
+
+  CoreConfig iq_pow2 = ok;
+  iq_pow2.iq_entries = 48;
+  expect_invalid(iq_pow2, "power of two");
+
+  // The queue count is a dispatch gate, not the window size: an iq gate
+  // larger than the ROB (or a ROB smaller than the default iq) is legal and
+  // simply never binds.
+  CoreConfig iq_over_rob = ok;
+  iq_over_rob.iq_entries = 256;
+  EXPECT_NO_THROW(validate_core_config(iq_over_rob));
+  CoreConfig small_rob = ok;
+  small_rob.rob_entries = 16;
+  EXPECT_NO_THROW(validate_core_config(small_rob));
+
+  CoreConfig rob_zero = ok;
+  rob_zero.rob_entries = 0;
+  expect_invalid(rob_zero, "rob_entries out of range");
+
+  CoreConfig rob_huge = ok;
+  rob_huge.rob_entries = 1 << 20;
+  expect_invalid(rob_huge, "rob_entries out of range");
+
+  CoreConfig lq_zero = ok;
+  lq_zero.lq_entries = 0;
+  expect_invalid(lq_zero, "must be positive");
+
+  CoreConfig phys_small = ok;
+  phys_small.phys_regs = 33;
+  expect_invalid(phys_small, "arch regs + dispatch_width");
+}
+
+TEST(CoreConfigValidation, PipelineConstructorEnforcesValidation) {
+  CoreConfig bad;
+  bad.iq_entries = 48;
+  workload::TraceGenerator gen(workload::spec2006_profile("bzip2"));
+  EXPECT_THROW(Pipeline(bad, scheme_fault_free(), &gen, nullptr, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // supplies with the semantics checker attached.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -81,6 +82,22 @@ TEST(SnapIo, ReaderRejectsUnderrunAndJunk) {
   ws.put_u32(1000);  // string length far past the buffer
   snap::Reader r4(ws.data());
   EXPECT_THROW((void)r4.get_str(), snap::SnapshotError);
+}
+
+TEST(SnapIo, CountIsBoundedByTheBytesLeft) {
+  snap::Writer w;
+  w.put_u32(2);
+  w.put_u64(1);
+  w.put_u64(2);
+  snap::Reader fits(w.data());
+  EXPECT_EQ(fits.get_count("pairs", 8), 2u);
+  snap::Reader short_by_two(w.data());
+  try {
+    (void)short_by_two.get_count("pairs", 9);
+    FAIL() << "two 9-byte entries do not fit in 16 bytes";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("pairs count 2"), std::string::npos) << e.what();
+  }
 }
 
 TEST(SnapIo, StatSetCodecRoundTrips) {
@@ -274,6 +291,51 @@ TEST(RunSnapshot, UnknownChunksAreSkippedOnRestore) {
   const core::RunSnapshot reread =
       core::RunSnapshot::from_container(snap::decode_snapshot(bytes.data(), bytes.size()));
   expect_bitwise_identical(runner.run_from(reread), straight);
+}
+
+TEST(RunSnapshot, HugeTrailCountIsRejectedByName) {
+  const auto prof = workload::spec2006_profile("bzip2");
+  const core::ExperimentRunner runner(snap_config());
+  const core::RunSnapshot snap = runner.capture(prof, core::scheme_by_name("razor"), 0.97, 1'000);
+  ASSERT_NE(snap.container().find(core::kChunkTral), nullptr);
+  // TRAL payload: u64 commits, then the u32 trail count.
+  snap::Snapshot bad;
+  for (const snap::Chunk& c : snap.container().chunks()) {
+    std::vector<unsigned char> payload = c.payload;
+    if (c.tag == core::kChunkTral) std::fill(payload.begin() + 8, payload.begin() + 12, 0xFF);
+    bad.add(c.tag, c.version, std::move(payload));
+  }
+  const core::RunSnapshot damaged = core::RunSnapshot::from_container(std::move(bad));
+  try {
+    (void)runner.run_from(damaged);
+    FAIL() << "a trail count of 0xFFFFFFFF was accepted";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("TRAL commit trail"), std::string::npos) << e.what();
+  }
+}
+
+TEST(RunSnapshot, RemovedSchedulerKernelIsRejectedByName) {
+  snap::Writer w;
+  core::put_core_config(w, cpu::CoreConfig{});
+  std::vector<unsigned char> bytes = w.take();
+  ASSERT_EQ(bytes.back(), 0) << "the kernel byte is last and always 0";
+  {
+    snap::Reader r(bytes);
+    EXPECT_NO_THROW((void)core::get_core_config(r));
+  }
+  bytes.back() = 1;  // the delay-queue kernel
+  {
+    snap::Reader r(bytes);
+    try {
+      (void)core::get_core_config(r);
+      FAIL() << "a delay-queue snapshot was accepted";
+    } catch (const snap::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("delay-queue"), std::string::npos) << e.what();
+    }
+  }
+  bytes.back() = 2;
+  snap::Reader r(bytes);
+  EXPECT_THROW((void)core::get_core_config(r), snap::SnapshotError);
 }
 
 TEST(RunSnapshot, MismatchedResumeConfigIsRejected) {

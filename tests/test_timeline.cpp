@@ -3,12 +3,14 @@
 // The load-bearing contract is exact reconciliation: windows partition the
 // sampled run, so for every tracked counter the per-window deltas sum to the
 // end-of-run aggregate -- counter for counter, across the scheme x benchmark
-// x supply grid, through warm starts and the lockstep batch engine.  The
-// other half of the contract is invisibility: with no timeline or profiler
-// attached, results are bitwise unchanged.
+// x supply grid, and through warm starts.  The other half of the contract is
+// invisibility: with no timeline or profiler attached, results are bitwise
+// unchanged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -173,18 +175,6 @@ TEST(Timeline, ReuseWarmupSweepKeepsChecksumAndReconciles) {
   }
 }
 
-TEST(Timeline, ComposesWithLockstepBatchEngine) {
-  const std::vector<core::SweepJob> jobs = grid_jobs();
-  core::SweepRunner batched(timeline_config(350), 1);
-  batched.set_batch(4);
-  const std::vector<core::RunResult> rb = batched.run_results(jobs);
-  const core::SweepRunner single(timeline_config(0), 1);
-  EXPECT_EQ(core::sweep_checksum(rb), core::sweep_checksum(single.run_results(jobs)));
-  for (const core::RunResult& r : rb) {
-    expect_reconciles(r, r.benchmark + "/" + r.scheme + " (batch=4)");
-  }
-}
-
 // ---- export formats --------------------------------------------------------
 
 core::RunResult one_sampled_run() {
@@ -220,6 +210,34 @@ TEST(Timeline, BinaryBlobRoundTripIsLossless) {
   snap::Writer w2;
   back.save(w2);
   EXPECT_EQ(w1.data(), w2.data());
+}
+
+TEST(Timeline, HugeBlobCountsAreRejectedByName) {
+  const core::RunResult r = one_sampled_run();
+  snap::Writer w;
+  r.timeline->save(w);
+  const std::vector<unsigned char> blob = w.take();
+  // Layout: u32 schema and five u64 header fields, the u32 counter-name
+  // count, the names (u32 length + bytes), then the u32 window count.
+  const std::size_t names_at = 4 + 5 * 8;
+  std::size_t windows_at = names_at + 4;
+  for (std::size_t c = 0; c < r.timeline->num_counters(); ++c) {
+    windows_at += 4 + r.timeline->counter_name(c).size();
+  }
+  const auto expect_rejected = [&](std::size_t at, const std::string& field) {
+    std::vector<unsigned char> bad = blob;
+    std::fill(bad.begin() + static_cast<std::ptrdiff_t>(at),
+              bad.begin() + static_cast<std::ptrdiff_t>(at + 4), 0xFF);
+    snap::Reader rd(bad);
+    try {
+      (void)obs::Timeline::load(rd);
+      FAIL() << field << ": a count of 0xFFFFFFFF was accepted";
+    } catch (const snap::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected(names_at, "timeline counter names");
+  expect_rejected(windows_at, "timeline windows");
 }
 
 TEST(Timeline, JsonAndCsvExportsAreWellFormed) {

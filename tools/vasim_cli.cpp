@@ -18,7 +18,7 @@
 //       --profile attributes the simulator's own wall-time to its pipeline
 //       stages (docs/observability.md).
 //   vasim sweep --bench <name>|all [--instr N] [--warmup N] [--jobs N]
-//               [--batch B] [--shard i/N] [--json FILE] [--trace FILE]
+//               [--shard i/N] [--json FILE] [--trace FILE]
 //               [--timeline-interval K] [--dvfs POLICY] [--epoch N]
 //               [--cpi] [--progress] [--profile]
 //       Run every scheme at both faulty supplies for one benchmark (or the
@@ -26,10 +26,9 @@
 //       results are deterministic at any worker count), optionally dumping
 //       the machine-readable JSON result sink to FILE, a Chrome-trace span
 //       per job to --trace, per-scheme CPI stacks with --cpi, and a live
-//       done/total + ETA line on stderr with --progress.  --batch (or
-//       VASIM_BATCH) advances B jobs per worker through the lockstep engine;
-//       --shard runs only the i-th of N deterministic grid partitions and
-//       writes a JSON fragment instead of the tables (docs/sweep.md);
+//       done/total + ETA line on stderr with --progress.  --shard runs only
+//       the i-th of N deterministic grid partitions and writes a JSON
+//       fragment instead of the tables (docs/sweep.md);
 //       --timeline-interval embeds a per-job timeline in the JSON sink and
 //       appends Perfetto counter tracks to --trace; --profile prints
 //       per-worker and whole-sweep simulator self-profiles.
@@ -68,6 +67,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -106,14 +106,29 @@ struct Args {
   [[nodiscard]] bool has(const std::string& key) const { return options.count(key) != 0; }
 };
 
+// Every option any verb reads.  A name outside both sets is rejected by
+// name, so a misspelled flag fails loudly instead of being ignored.
+const std::set<std::string, std::less<>> kFlagOptions = {
+    "cpi", "csv", "profile", "progress", "reuse-warmup", "shutdown", "stats"};
+const std::set<std::string, std::less<>> kValueOptions = {
+    "at",        "bench",      "benches",    "cache",     "cancel-frac",
+    "cells",     "clients",    "connect",    "dvfs",      "epoch",
+    "from-snapshot", "instr",  "interval",   "iq",        "jobs",
+    "json",      "kanata",     "listen",     "max-cells", "out",
+    "period-max", "period-min", "phys",      "predictor", "queue",
+    "rob",       "scheme",     "schemes",    "seed",      "shard",
+    "timeline",  "timeline-interval", "trace", "vdd",     "vdds",
+    "warmup",    "workers"};
+
 bool parse_options(int start, int argc, char** argv, Args& a) {
   for (int i = start; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) return false;
     key = key.substr(2);
-    if (key == "stats" || key == "csv" || key == "cpi" || key == "progress" ||
-        key == "reuse-warmup" || key == "profile" || key == "shutdown") {
+    if (kFlagOptions.count(key) != 0) {
       a.options[key] = "1";
+    } else if (kValueOptions.count(key) == 0) {
+      throw std::invalid_argument("unknown option '--" + key + "'");
     } else {
       if (i + 1 >= argc) return false;
       a.options[key] = argv[++i];
@@ -136,7 +151,7 @@ int usage() {
             << "  vasim run --bench <name> --scheme "
                "fault-free|razor|ep|abs|ffs|cds [--vdd V]\n"
             << "            [--instr N] [--warmup N] [--predictor tep|mre|tvp]\n"
-            << "            [--kernel issue-window|delay-queue] [--iq N] [--rob N] [--phys N]\n"
+            << "            [--iq N] [--rob N] [--phys N]\n"
             << "            [--kanata FILE] [--trace FILE] [--timeline FILE]\n"
             << "            [--timeline-interval K] [--stats] [--csv] [--cpi]\n"
             << "            [--dvfs static|reactive|predictive] [--epoch N]\n"
@@ -145,8 +160,8 @@ int usage() {
             << "  vasim run --from-snapshot FILE [--instr N] [--timeline FILE]\n"
             << "            [--stats] [--csv] [--cpi] [--progress] [--profile]\n"
             << "  vasim sweep --bench <name>|all [--instr N] [--warmup N] [--jobs N]\n"
-            << "              [--kernel issue-window|delay-queue] [--iq N] [--rob N] [--phys N]\n"
-            << "              [--batch B] [--shard i/N] [--json FILE] [--trace FILE]\n"
+            << "              [--iq N] [--rob N] [--phys N]\n"
+            << "              [--shard i/N] [--json FILE] [--trace FILE]\n"
             << "              [--timeline-interval K] [--dvfs POLICY] [--epoch N]\n"
             << "              [--period-min P] [--period-max P] [--cpi] [--progress]\n"
             << "              [--reuse-warmup] [--profile]\n"
@@ -187,13 +202,6 @@ core::RunnerConfig runner_config(const Args& args) {
     rc.predictor = core::PredictorKind::kTvp;
   }
   rc.timeline_interval = std::strtoull(args.get("timeline-interval", "0").c_str(), nullptr, 10);
-  if (args.has("kernel")) {
-    const std::string kname = args.get("kernel", "");
-    if (!cpu::sched_kernel_from_string(kname.c_str(), rc.core.sched_kernel)) {
-      throw std::invalid_argument("unknown scheduler kernel '" + kname +
-                                  "' (expected issue-window or delay-queue)");
-    }
-  }
   if (args.has("iq")) rc.core.iq_entries = std::atoi(args.get("iq", "").c_str());
   if (args.has("rob")) rc.core.rob_entries = std::atoi(args.get("rob", "").c_str());
   if (args.has("phys")) rc.core.phys_regs = std::atoi(args.get("phys", "").c_str());
@@ -551,9 +559,6 @@ int cmd_sweep(const Args& args) {
   core::SweepRunner sweeper(sweep_rc, workers);
   if (args.has("progress")) sweeper.set_progress(true);
   if (args.has("reuse-warmup")) sweeper.set_reuse_warmup(true);
-  if (args.has("batch")) {
-    sweeper.set_batch(std::strtoull(args.get("batch", "1").c_str(), nullptr, 10));
-  }
 
   // (fault-free + every scheme) x both faulty supplies per profile, one
   // thread-pooled grid; results come back in submission order.
@@ -1023,7 +1028,7 @@ int main(int argc, char** argv) {
     if (args->command == "loadgen") return cmd_loadgen(*args);
     return usage();
   } catch (const std::invalid_argument& e) {
-    // Config validation (validate_core_config, --kernel parsing) reports the
+    // Config validation (validate_core_config, option parsing) reports the
     // named constraint; anything else is a real bug and may terminate.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
