@@ -2,8 +2,8 @@
 // validation, the state-dependent delay model, the static-policy identity
 // guarantee (kStatic is bitwise today's behavior), controller behavior at
 // both ends of the supply range, cross-path determinism (per-job / shard
-// fragments), snapshot round-trips per policy and the
-// cross-policy warm-start rejection.
+// fragments), snapshot round-trips per policy and the cross-policy
+// warm-start rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -108,17 +108,14 @@ struct Args {
 
 // Every option any verb reads.  A name outside both sets is rejected by
 // name, so a misspelled flag fails loudly instead of being ignored.
-const std::set<std::string, std::less<>> kFlagOptions = {
+const std::set<std::string> kFlagOptions = {
     "cpi", "csv", "profile", "progress", "reuse-warmup", "shutdown", "stats"};
-const std::set<std::string, std::less<>> kValueOptions = {
-    "at",        "bench",      "benches",    "cache",     "cancel-frac",
-    "cells",     "clients",    "connect",    "dvfs",      "epoch",
-    "from-snapshot", "instr",  "interval",   "iq",        "jobs",
-    "json",      "kanata",     "listen",     "max-cells", "out",
-    "period-max", "period-min", "phys",      "predictor", "queue",
-    "rob",       "scheme",     "schemes",    "seed",      "shard",
-    "timeline",  "timeline-interval", "trace", "vdd",     "vdds",
-    "warmup",    "workers"};
+const std::set<std::string> kValueOptions = {
+    "at", "bench", "benches", "cache", "cancel-frac", "cells", "clients", "connect", "dvfs",
+    "epoch", "from-snapshot", "instr", "interval", "iq", "jobs", "json", "kanata", "listen",
+    "max-cells", "out", "period-max", "period-min", "phys", "predictor", "queue", "rob", "scheme",
+    "schemes", "seed", "shard", "timeline", "timeline-interval", "trace", "vdd", "vdds", "warmup",
+    "workers"};
 
 bool parse_options(int start, int argc, char** argv, Args& a) {
   for (int i = start; i < argc; ++i) {
