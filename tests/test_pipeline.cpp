@@ -189,8 +189,11 @@ TEST(Pipeline, NoFaultsAtNominalSupply) {
 
 // ---- scheme sweep under fault injection ----------------------------------
 
+// The scheme name is held inline, not as a pointer: gtest prints the
+// parameter's bytes into the CTest name, and a pointer's bytes differ from
+// build to build.
 struct SchemeCase {
-  const char* scheme;
+  char scheme[8];
   double vdd;
 };
 

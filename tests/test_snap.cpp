@@ -314,7 +314,10 @@ TEST(RunSnapshot, HugeTrailCountIsRejectedByName) {
   }
 }
 
-TEST(RunSnapshot, RemovedSchedulerKernelIsRejectedByName) {
+TEST(DelayQueueSnapshot, KernelIsPartOfTheWarmupKey) {
+  // A warmup captured under the removed delay-queue kernel must never seed
+  // an issue-window run: the kernel byte stays in META, is always written as
+  // 0, and any other value is refused by name.
   snap::Writer w;
   core::put_core_config(w, cpu::CoreConfig{});
   std::vector<unsigned char> bytes = w.take();

@@ -259,6 +259,20 @@ TEST(SweepCancel, MidFlightCancelKeepsSurvivorsBitwiseIdentical) {
   EXPECT_EQ(report.cancelled_jobs, cancelled);
 }
 
+TEST(SweepCancel, BatchModeCancelsWholeUnstartedChunks) {
+  // A runner pinned to one job per task with set_batch(1), the call batch
+  // mode used to take, honours a pre-fired token like any other runner.
+  const std::vector<core::SweepJob> jobs = small_grid();
+  core::CancelToken token;
+  token.cancel();
+  core::SweepRunner runner(small_config(), 2);
+  runner.set_batch(1);
+  runner.set_cancel_token(&token);
+  const core::SweepReport report = runner.run(jobs);
+  ASSERT_EQ(report.jobs.size(), jobs.size());
+  EXPECT_EQ(report.cancelled_jobs, jobs.size());
+}
+
 TEST(ThreadPool, DefaultWorkerCountHonorsEnv) {
   // Not parallel-safe with other env-reading tests, but the suite runs
   // tests in one process sequentially.

@@ -175,6 +175,20 @@ TEST(Timeline, ReuseWarmupSweepKeepsChecksumAndReconciles) {
   }
 }
 
+TEST(Timeline, ComposesWithLockstepBatchEngine) {
+  // The lockstep batch engine is gone; a sampled sweep pinned to one job per
+  // task with set_batch(1) must still match the unsampled one and reconcile.
+  const std::vector<core::SweepJob> jobs = grid_jobs();
+  core::SweepRunner pinned(timeline_config(350), 1);
+  pinned.set_batch(1);
+  const std::vector<core::RunResult> rp = pinned.run_results(jobs);
+  const core::SweepRunner single(timeline_config(0), 1);
+  EXPECT_EQ(core::sweep_checksum(rp), core::sweep_checksum(single.run_results(jobs)));
+  for (const core::RunResult& r : rp) {
+    expect_reconciles(r, r.benchmark + "/" + r.scheme + " (batch=1)");
+  }
+}
+
 // ---- export formats --------------------------------------------------------
 
 core::RunResult one_sampled_run() {

@@ -98,10 +98,7 @@ TEST_P(TraceMix, FullStaticCoverage) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Benchmarks, TraceMix,
-                         ::testing::Values("astar", "libquantum", "mcf", "sjeng", "gcc"),
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           return std::string(info.param);
-                         });
+                         ::testing::Values("astar", "libquantum", "mcf", "sjeng", "gcc"));
 
 TEST(TraceGenerator, BranchNextPcConsistent) {
   const auto prof = spec2006_profile("gobmk");
