@@ -6,7 +6,7 @@
 // `dvfs.wall_units` in permille-cycles, the run's simulated wall time) and
 // one step_epoch() per epoch boundary, the same committed-count re-arm
 // discipline as the timeline sampler -- so every execution path (per-job,
-// shard, serve) steps the controller at identical points and the runs are
+// shard) steps the controller at identical points and the runs are
 // bit-identical across paths.
 #ifndef VASIM_ADAPT_CLOCK_HPP
 #define VASIM_ADAPT_CLOCK_HPP

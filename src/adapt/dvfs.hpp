@@ -1,5 +1,5 @@
 // Adaptive-clocking (DVFS) configuration shared by the controllers, the
-// runner plumbing, the CLI and the serve protocol.
+// runner plumbing and the CLI.
 //
 // The clock period is tracked in integer permille of the nominal period
 // (1000 = today's fixed clock), so controller arithmetic, snapshots and

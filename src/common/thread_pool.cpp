@@ -62,8 +62,7 @@ void ThreadPool::worker_loop() {
 std::size_t ThreadPool::default_worker_count() {
   // Validated read: garbage or zero VASIM_JOBS values warn and fall back to
   // hardware_concurrency instead of silently misbehaving; absurdly large
-  // values clamp (spawning thousands of worker threads helps nobody).
-  constexpr u64 kMaxWorkers = 256;
+  // values clamp to kMaxWorkers.
   const u64 env = env_count("VASIM_JOBS", 0, kMaxWorkers);
   if (env > 0) return static_cast<std::size_t>(env);
   return std::max(1u, std::thread::hardware_concurrency());

@@ -20,6 +20,10 @@ namespace vasim {
 
 class ThreadPool {
  public:
+  /// Ceiling on a requested worker count (VASIM_JOBS, `vasim sweep --jobs`):
+  /// thousands of worker threads help nobody.
+  static constexpr std::size_t kMaxWorkers = 256;
+
   /// Spawns `workers` threads (clamped to >= 1).
   explicit ThreadPool(std::size_t workers);
 

@@ -123,8 +123,8 @@ struct RunnerConfig {
   /// attaches nothing and is bitwise-identical to pre-dvfs behavior.
   /// Adaptive policies apply only to scheme runs (a fault model must be
   /// present to arbitrate violations); fault-free baselines stay static.
-  /// The whole struct folds into the warmup key, so snapshots and serve
-  /// cache entries never cross policies.
+  /// The whole struct folds into the warmup key, so snapshots and shared
+  /// warmups never cross policies.
   adapt::DvfsConfig dvfs;
 };
 

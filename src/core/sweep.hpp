@@ -27,7 +27,7 @@
 namespace vasim::core {
 
 /// Cooperative cancellation handle shared between a sweep and its caller
-/// (e.g. the serve daemon's per-job cancel).  Cancelling never interrupts a
+/// (e.g. another thread abandoning the sweep).  Cancelling never interrupts a
 /// running simulation: jobs that have already started run to completion and
 /// keep their (bitwise-unchanged) results; jobs not yet started come back
 /// with SweepOutcome::cancelled set and a default RunResult.
@@ -144,9 +144,8 @@ class SweepRunner {
 [[nodiscard]] u64 sweep_checksum(const SweepReport& report);
 
 /// Checksum of a single result (same field walk as sweep_checksum but no
-/// sequence-length prefix).  This is the per-job identity the serve daemon
-/// reports to clients and the concurrency-oracle tests compare against
-/// standalone runs.
+/// sequence-length prefix).  This is the per-job identity the cancellation
+/// tests and perfbench pins compare against standalone runs.
 [[nodiscard]] u64 result_checksum(const RunResult& result);
 
 /// Serializes a sweep as JSON: run identity, per-job metrics and wall

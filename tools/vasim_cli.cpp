@@ -45,25 +45,12 @@
 //       a checksummed snapshot; resume with `vasim run --from-snapshot`.
 //   vasim snap info FILE
 //       Pretty-print a snapshot's header, chunk table, CRC status and META.
-//   vasim serve --listen unix:PATH|tcp:PORT [--workers N] [--queue N]
-//               [--cache N] [--max-cells N] [--instr N] [--warmup N]
-//               [--timeline-interval K] [--profile]
-//       Run the sweep-as-a-service daemon (docs/serve.md): a line-delimited
-//       JSON protocol over a local socket with a bounded admission queue and
-//       a cross-request warm-start snapshot cache.  Runs until a client
-//       sends {"op":"shutdown"}.
-//   vasim loadgen --connect ENDPOINT [--clients N] [--jobs N] [--cells N]
-//                 [--interval MS] [--cancel-frac F] [--seed S] [--instr N]
-//                 [--warmup N] [--benches a,b] [--schemes x,y] [--vdds v,w]
-//                 [--json FILE] [--shutdown]
-//       Replay a seed-deterministic open-loop request mix against a running
-//       daemon and record latency percentiles, backpressure counts and the
-//       cross-client checksum-consistency verdict to BENCH_serve.json.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -72,8 +59,8 @@
 #include <string>
 
 #include "src/adapt/dvfs.hpp"
-#include "src/common/env.hpp"
 #include "src/common/table.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/cpu/config.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/shard.hpp"
@@ -84,9 +71,6 @@
 #include "src/obs/profiler.hpp"
 #include "src/obs/timeline.hpp"
 #include "src/obs/trace.hpp"
-#include "src/serve/loadgen.hpp"
-#include "src/serve/server.hpp"
-#include "src/serve/socket.hpp"
 #include "src/snap/format.hpp"
 #include "src/workload/trace_file.hpp"
 #include "src/workload/trace_generator.hpp"
@@ -96,7 +80,6 @@ namespace {
 using namespace vasim;
 
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
 
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const {
@@ -109,13 +92,11 @@ struct Args {
 // Every option any verb reads.  A name outside both sets is rejected by
 // name, so a misspelled flag fails loudly instead of being ignored.
 const std::set<std::string> kFlagOptions = {
-    "cpi", "csv", "profile", "progress", "reuse-warmup", "shutdown", "stats"};
+    "cpi", "csv", "profile", "progress", "reuse-warmup", "stats"};
 const std::set<std::string> kValueOptions = {
-    "at", "bench", "benches", "cache", "cancel-frac", "cells", "clients", "connect", "dvfs",
-    "epoch", "from-snapshot", "instr", "interval", "iq", "jobs", "json", "kanata", "listen",
-    "max-cells", "out", "period-max", "period-min", "phys", "predictor", "queue", "rob", "scheme",
-    "schemes", "seed", "shard", "timeline", "timeline-interval", "trace", "vdd", "vdds", "warmup",
-    "workers"};
+    "at", "bench", "dvfs", "epoch", "from-snapshot", "instr", "iq", "jobs", "json", "kanata",
+    "out", "period-max", "period-min", "phys", "predictor", "rob", "scheme", "seed", "shard",
+    "timeline", "timeline-interval", "trace", "vdd", "warmup"};
 
 bool parse_options(int start, int argc, char** argv, Args& a) {
   for (int i = start; i < argc; ++i) {
@@ -134,12 +115,39 @@ bool parse_options(int start, int argc, char** argv, Args& a) {
   return true;
 }
 
-std::optional<Args> parse(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
-  Args a;
-  a.command = argv[1];
-  if (!parse_options(2, argc, argv, a)) return std::nullopt;
-  return a;
+/// The value of --NAME as an unsigned integer no larger than `max`, or
+/// `fallback` when the option is absent.  The whole value must be decimal
+/// digits: "2k", "-1", "+3" and "" are rejected by name rather than read as
+/// whatever prefix parses.
+u64 opt_u64(const Args& args, const std::string& name, u64 fallback,
+            u64 max = std::numeric_limits<u64>::max()) {
+  if (!args.has(name)) return fallback;
+  const std::string v = args.get(name, "");
+  u64 x = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (ec == std::errc::invalid_argument || end != v.data() + v.size()) {
+    throw std::invalid_argument("option '--" + name + "' expects an unsigned integer, got '" +
+                                v + "'");
+  }
+  if (ec == std::errc::result_out_of_range || x > max) {
+    throw std::invalid_argument("option '--" + name + "' expects an unsigned integer no larger " +
+                                "than " + std::to_string(max) + ", got '" + v + "'");
+  }
+  return x;
+}
+
+/// The value of --NAME as a finite number, or `fallback` when the option is
+/// absent; trailing text ("0.97V"), "inf" and "nan" are rejected by name.
+double opt_double(const Args& args, const std::string& name, double fallback) {
+  if (!args.has(name)) return fallback;
+  const std::string v = args.get(name, "");
+  double x = 0.0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (ec != std::errc() || end != v.data() + v.size() || !std::isfinite(x)) {
+    throw std::invalid_argument("option '--" + name + "' expects a finite number, got '" + v +
+                                "'");
+  }
+  return x;
 }
 
 int usage() {
@@ -165,14 +173,7 @@ int usage() {
             << "  vasim sweep-merge FRAGMENT... --out FILE\n"
             << "  vasim snap save --bench <name> --scheme <name> --out FILE [--vdd V]\n"
             << "                  [--instr N] [--warmup N] [--at N] [--predictor tep|mre|tvp]\n"
-            << "  vasim snap info FILE\n"
-            << "  vasim serve --listen unix:PATH|tcp:PORT [--workers N] [--queue N]\n"
-            << "              [--cache N] [--max-cells N] [--instr N] [--warmup N]\n"
-            << "              [--timeline-interval K] [--dvfs POLICY] [--epoch N] [--profile]\n"
-            << "  vasim loadgen --connect ENDPOINT [--clients N] [--jobs N] [--cells N]\n"
-            << "                [--interval MS] [--cancel-frac F] [--seed S] [--instr N]\n"
-            << "                [--warmup N] [--benches a,b] [--schemes x,y] [--vdds v,w]\n"
-            << "                [--json FILE] [--shutdown]\n";
+            << "  vasim snap info FILE\n";
   return 2;
 }
 
@@ -190,58 +191,33 @@ int cmd_list() {
 
 core::RunnerConfig runner_config(const Args& args) {
   core::RunnerConfig rc;
-  rc.instructions = std::strtoull(args.get("instr", "150000").c_str(), nullptr, 10);
-  rc.warmup = std::strtoull(args.get("warmup", "150000").c_str(), nullptr, 10);
+  rc.instructions = opt_u64(args, "instr", 150000);
+  rc.warmup = opt_u64(args, "warmup", 150000);
   const std::string pred = args.get("predictor", "tep");
   if (pred == "mre") {
     rc.predictor = core::PredictorKind::kMre;
   } else if (pred == "tvp") {
     rc.predictor = core::PredictorKind::kTvp;
   }
-  rc.timeline_interval = std::strtoull(args.get("timeline-interval", "0").c_str(), nullptr, 10);
-  if (args.has("iq")) rc.core.iq_entries = std::atoi(args.get("iq", "").c_str());
-  if (args.has("rob")) rc.core.rob_entries = std::atoi(args.get("rob", "").c_str());
-  if (args.has("phys")) rc.core.phys_regs = std::atoi(args.get("phys", "").c_str());
+  rc.timeline_interval = opt_u64(args, "timeline-interval", 0);
+  constexpr u64 kIntMax = std::numeric_limits<int>::max();
+  rc.core.iq_entries = static_cast<int>(opt_u64(args, "iq", rc.core.iq_entries, kIntMax));
+  rc.core.rob_entries = static_cast<int>(opt_u64(args, "rob", rc.core.rob_entries, kIntMax));
+  rc.core.phys_regs = static_cast<int>(opt_u64(args, "phys", rc.core.phys_regs, kIntMax));
   cpu::validate_core_config(rc.core);  // fail fast with the named reason
   if (args.has("dvfs")) rc.dvfs.policy = adapt::dvfs_policy_from_string(args.get("dvfs", ""));
-  if (args.has("epoch")) {
-    rc.dvfs.epoch = std::strtoull(args.get("epoch", "0").c_str(), nullptr, 10);
-  }
-  if (args.has("period-min")) {
-    rc.dvfs.period_min_permille =
-        static_cast<u32>(std::strtoul(args.get("period-min", "0").c_str(), nullptr, 10));
-  }
-  if (args.has("period-max")) {
-    rc.dvfs.period_max_permille =
-        static_cast<u32>(std::strtoul(args.get("period-max", "0").c_str(), nullptr, 10));
-  }
+  rc.dvfs.epoch = opt_u64(args, "epoch", rc.dvfs.epoch);
+  constexpr u64 kU32Max = std::numeric_limits<u32>::max();
+  rc.dvfs.period_min_permille =
+      static_cast<u32>(opt_u64(args, "period-min", rc.dvfs.period_min_permille, kU32Max));
+  rc.dvfs.period_max_permille =
+      static_cast<u32>(opt_u64(args, "period-max", rc.dvfs.period_max_permille, kU32Max));
   adapt::validate_dvfs_config(rc.dvfs);  // same fail-fast style as the core knobs
   return rc;
 }
 
 /// Default sampling grain when --timeline names a file but no interval.
 constexpr u64 kDefaultTimelineInterval = 10'000;
-
-/// Copies a just-written result JSON into the tracked bench/results/
-/// directory (VASIM_RESULTS_DIR, injected by CMake) -- the same hook
-/// bench_micro uses, so `vasim loadgen` updates the repo's serve-perf
-/// trajectory without a manual cp.  Disabled with VASIM_RESULTS=0; quietly
-/// skipped when the directory is absent.
-void copy_to_results(const std::string& path) {
-#ifdef VASIM_RESULTS_DIR
-  if (env_u64("VASIM_RESULTS", 1) == 0) return;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  // Strip any directory prefix: results are tracked flat by file name.
-  const std::size_t slash = path.find_last_of('/');
-  const std::string fname = slash == std::string::npos ? path : path.substr(slash + 1);
-  std::ofstream out(std::string(VASIM_RESULTS_DIR) + "/" + fname, std::ios::binary);
-  if (!out) return;
-  out << in.rdbuf();
-#else
-  (void)path;
-#endif
-}
 
 /// Writes a finalized timeline as JSON, or CSV when the path ends in .csv.
 int write_timeline_file(const obs::Timeline& tl, const std::string& path) {
@@ -355,9 +331,7 @@ int cmd_run_from_snapshot(const Args& args) {
     // warmup-compatible by construction; only the measurement length may be
     // overridden from the command line.
     core::RunnerConfig rc;
-    rc.instructions = args.has("instr")
-                          ? std::strtoull(args.get("instr", "").c_str(), nullptr, 10)
-                          : m.instructions;
+    rc.instructions = opt_u64(args, "instr", m.instructions);
     rc.warmup = m.warmup;
     rc.core = m.core;
     rc.tep = m.tep;
@@ -365,8 +339,7 @@ int cmd_run_from_snapshot(const Args& args) {
     rc.check_semantics = m.check_semantics;
     rc.commit_trail_stride = m.commit_trail_stride;
     rc.dvfs = m.dvfs;
-    rc.timeline_interval =
-        std::strtoull(args.get("timeline-interval", "0").c_str(), nullptr, 10);
+    rc.timeline_interval = opt_u64(args, "timeline-interval", 0);
     if (args.has("timeline") && rc.timeline_interval == 0) {
       rc.timeline_interval = kDefaultTimelineInterval;
     }
@@ -409,7 +382,7 @@ int cmd_run(const Args& args) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  const double vdd = std::strtod(args.get("vdd", "0.97").c_str(), nullptr);
+  const double vdd = opt_double(args, "vdd", 0.97);
   core::RunnerConfig rc = runner_config(args);
   if (args.has("timeline") && rc.timeline_interval == 0) {
     rc.timeline_interval = kDefaultTimelineInterval;
@@ -548,8 +521,7 @@ int cmd_sweep(const Args& args) {
   }
 
   const std::size_t workers =
-      args.has("jobs") ? std::strtoull(args.get("jobs", "1").c_str(), nullptr, 10)
-                       : core::sweep_workers_from_env();
+      opt_u64(args, "jobs", core::sweep_workers_from_env(), ThreadPool::kMaxWorkers);
   core::RunnerConfig sweep_rc = runner_config(args);
   obs::ProfilerHub hub;
   if (args.has("profile")) sweep_rc.profiler_hub = &hub;
@@ -701,7 +673,7 @@ int cmd_record(const Args& args) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  const u64 n = std::strtoull(args.get("instr", "100000").c_str(), nullptr, 10);
+  const u64 n = opt_u64(args, "instr", 100000);
   workload::TraceGenerator gen(prof);
   const auto trace = workload::record_trace(gen, n);
   std::ofstream out(args.get("out", ""));
@@ -733,10 +705,10 @@ int cmd_replay(const Args& args) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  const double vdd = std::strtod(args.get("vdd", "0.97").c_str(), nullptr);
+  const double vdd = opt_double(args, "vdd", 0.97);
   const core::RunnerConfig rc = runner_config(args);
   timing::PathModelConfig pcfg;
-  pcfg.seed = std::strtoull(args.get("seed", "2013").c_str(), nullptr, 10);
+  pcfg.seed = opt_u64(args, "seed", 2013);
   const timing::FaultModel fm(pcfg, vdd);
   core::TimingErrorPredictor tep(rc.tep, &fm.environment());
   cpu::Pipeline pipe(rc.core, *scheme, src.get(), &fm,
@@ -763,10 +735,9 @@ int cmd_snap_save(const Args& args) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  const double vdd = std::strtod(args.get("vdd", "0.97").c_str(), nullptr);
+  const double vdd = opt_double(args, "vdd", 0.97);
   const core::RunnerConfig rc = runner_config(args);
-  const u64 at = args.has("at") ? std::strtoull(args.get("at", "").c_str(), nullptr, 10)
-                                : rc.warmup;
+  const u64 at = opt_u64(args, "at", rc.warmup);
   // Like run/sweep, the "fault-free" scheme name selects the baseline
   // wiring: no fault model, no predictors.
   const std::optional<cpu::SchemeConfig> scheme_opt =
@@ -889,109 +860,6 @@ int cmd_sweep_merge(int argc, char** argv) {
   }
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::string item = s.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-int cmd_serve(const Args& args) {
-  if (!args.has("listen")) return usage();
-  try {
-    serve::ServeConfig sc;
-    sc.workers = std::strtoull(args.get("workers", "2").c_str(), nullptr, 10);
-    sc.queue_limit = std::strtoull(args.get("queue", "8").c_str(), nullptr, 10);
-    sc.cache_capacity = std::strtoull(args.get("cache", "32").c_str(), nullptr, 10);
-    sc.max_cells_per_job = std::strtoull(args.get("max-cells", "1024").c_str(), nullptr, 10);
-    sc.runner = runner_config(args);
-    obs::ProfilerHub hub;
-    if (args.has("profile")) sc.profiler_hub = &hub;
-    serve::Server server(sc);
-    const serve::Endpoint ep = serve::parse_endpoint(args.get("listen", ""));
-    serve::SocketServer transport(server, ep);
-    transport.start();
-    // One parseable "ready" line (flushed) so scripts can wait on it.
-    if (ep.kind == serve::Endpoint::Kind::kTcp) {
-      std::cout << "vasim serve: listening on tcp:127.0.0.1:" << transport.resolved_port();
-    } else {
-      std::cout << "vasim serve: listening on unix:" << ep.path;
-    }
-    std::cout << " (" << sc.workers << " workers, queue " << sc.queue_limit << ", cache "
-              << sc.cache_capacity << ")" << std::endl;
-    transport.serve_until_shutdown();
-    const StatSet s = server.stats();
-    std::cout << "vasim serve: shut down after " << s.count("serve.jobs.submitted")
-              << " jobs (" << s.count("serve.jobs.completed") << " done, "
-              << s.count("serve.jobs.cancelled") << " cancelled, "
-              << s.count("serve.jobs.failed") << " failed, "
-              << s.count("serve.jobs.rejected") << " rejected); cache "
-              << s.count("serve.cache.hit") << " hits / " << s.count("serve.cache.miss")
-              << " misses, queue peak " << s.scalar("serve.queue.peak") << "\n";
-    if (args.has("profile")) print_profile_tables(hub);
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
-}
-
-int cmd_loadgen(const Args& args) {
-  if (!args.has("connect")) return usage();
-  serve::LoadgenConfig lc;
-  lc.endpoint = args.get("connect", "");
-  lc.clients = std::strtoull(args.get("clients", "4").c_str(), nullptr, 10);
-  lc.jobs_per_client = std::strtoull(args.get("jobs", "8").c_str(), nullptr, 10);
-  lc.cells_per_job = std::strtoull(args.get("cells", "2").c_str(), nullptr, 10);
-  lc.submit_interval_ms = std::strtod(args.get("interval", "5").c_str(), nullptr);
-  lc.cancel_fraction = std::strtod(args.get("cancel-frac", "0").c_str(), nullptr);
-  lc.seed = std::strtoull(args.get("seed", "1").c_str(), nullptr, 10);
-  lc.instructions = std::strtoull(args.get("instr", "0").c_str(), nullptr, 10);
-  lc.warmup = std::strtoull(args.get("warmup", "0").c_str(), nullptr, 10);
-  if (args.has("benches")) lc.benches = split_csv(args.get("benches", ""));
-  if (args.has("schemes")) lc.schemes = split_csv(args.get("schemes", ""));
-  if (args.has("vdds")) {
-    lc.vdds.clear();
-    for (const std::string& v : split_csv(args.get("vdds", ""))) {
-      lc.vdds.push_back(std::strtod(v.c_str(), nullptr));
-    }
-  }
-  if (lc.benches.empty() || lc.schemes.empty() || lc.vdds.empty()) {
-    std::cerr << "loadgen needs non-empty --benches/--schemes/--vdds\n";
-    return 2;
-  }
-  lc.out_json = args.get("json", "BENCH_serve.json");
-  try {
-    const serve::LoadgenReport rep = serve::run_loadgen(lc);
-    std::cout << serve::loadgen_summary(rep);
-    if (!lc.out_json.empty()) {
-      if (!serve::write_loadgen_json(lc.out_json, lc, rep)) {
-        std::cerr << "cannot write " << lc.out_json << "\n";
-        return 2;
-      }
-      copy_to_results(lc.out_json);
-      std::cout << "loadgen report written to " << lc.out_json << "\n";
-    }
-    if (args.has("shutdown")) {
-      serve::Client c(serve::parse_endpoint(lc.endpoint));
-      const std::string reply = c.request("{\"op\":\"shutdown\"}");
-      std::cout << "shutdown requested: " << reply << "\n";
-    }
-    // The mix itself is the check: inconsistent checksums, failed jobs or a
-    // drain timeout make the exit status visible to CI.
-    return rep.checksums_consistent && !rep.timed_out && rep.jobs_failed == 0 ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
-}
-
 int cmd_snap(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string sub = argv[2];
@@ -1001,7 +869,6 @@ int cmd_snap(int argc, char** argv) {
   }
   if (sub == "save") {
     Args a;
-    a.command = "snap-save";
     if (!parse_options(3, argc, argv, a)) return usage();
     return cmd_snap_save(a);
   }
@@ -1012,18 +879,21 @@ int cmd_snap(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    if (argc >= 2 && std::strcmp(argv[1], "snap") == 0) return cmd_snap(argc, argv);
-    if (argc >= 2 && std::strcmp(argv[1], "sweep-merge") == 0) return cmd_sweep_merge(argc, argv);
-    const auto args = parse(argc, argv);
-    if (!args) return usage();
-    if (args->command == "list") return cmd_list();
-    if (args->command == "run") return cmd_run(*args);
-    if (args->command == "sweep") return cmd_sweep(*args);
-    if (args->command == "record") return cmd_record(*args);
-    if (args->command == "replay") return cmd_replay(*args);
-    if (args->command == "serve") return cmd_serve(*args);
-    if (args->command == "loadgen") return cmd_loadgen(*args);
-    return usage();
+    if (argc < 2) return usage();
+    const std::string verb = argv[1];
+    if (verb == "snap") return cmd_snap(argc, argv);
+    if (verb == "sweep-merge") return cmd_sweep_merge(argc, argv);
+    // An unknown verb gets the usage text before any of its options is read.
+    const std::map<std::string, int (*)(const Args&)> verbs = {
+        {"list", [](const Args&) { return cmd_list(); }},
+        {"run", cmd_run},
+        {"sweep", cmd_sweep},
+        {"record", cmd_record},
+        {"replay", cmd_replay}};
+    const auto it = verbs.find(verb);
+    Args args;
+    if (it == verbs.end() || !parse_options(2, argc, argv, args)) return usage();
+    return it->second(args);
   } catch (const std::invalid_argument& e) {
     // Config validation (validate_core_config, option parsing) reports the
     // named constraint; anything else is a real bug and may terminate.
