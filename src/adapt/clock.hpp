@@ -5,9 +5,9 @@
 // The pipeline drives it with one tick() per simulated cycle (accumulating
 // `dvfs.wall_units` in permille-cycles, the run's simulated wall time) and
 // one step_epoch() per epoch boundary, the same committed-count re-arm
-// discipline as the timeline sampler -- so every execution path (per-job,
-// shard) steps the controller at identical points and the runs are
-// bit-identical across paths.
+// discipline as the timeline sampler -- so the controller steps at identical
+// points whichever sweep worker runs the job, and runs are bit-identical
+// across worker counts.
 #ifndef VASIM_ADAPT_CLOCK_HPP
 #define VASIM_ADAPT_CLOCK_HPP
 

@@ -4,9 +4,8 @@
 // instructions) with the epoch's architectural and sensor features, and
 // answer with the clock period for the next epoch.  All controller state is
 // plain arithmetic over those features -- no RNG -- so a run is reproducible
-// from (seed, config) alone and bit-identical across the per-job and shard
-// execution paths.  Every policy serializes its full state for
-// snapshot/restore.
+// from (seed, config) alone and bit-identical across sweep worker counts.
+// Every policy serializes its full state for snapshot/restore.
 #ifndef VASIM_ADAPT_CONTROLLER_HPP
 #define VASIM_ADAPT_CONTROLLER_HPP
 

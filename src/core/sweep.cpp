@@ -81,28 +81,6 @@ void fnv_result(u64& h, const RunResult& r) {
 
 // ---- JSON ------------------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_f64(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];
@@ -176,9 +154,6 @@ SweepReport SweepRunner::run(const std::vector<SweepJob>& jobs) const {
   }
 
   const auto capture_group = [&](Group& g) {
-    // A fired token also skips warmup captures: every member will report
-    // cancelled before it could touch the (absent) snapshot.
-    if (cancel_ != nullptr && cancel_->cancelled()) return;
     const SweepJob& job = jobs[g.members.front()];
     const RunnerConfig& cfg = job.config ? *job.config : cfg_;
     try {
@@ -192,13 +167,6 @@ SweepReport SweepRunner::run(const std::vector<SweepJob>& jobs) const {
   };
 
   const auto run_one = [&](std::size_t index, SweepOutcome& out) {
-    // Cooperative cancel boundary: jobs are never interrupted mid-run, so
-    // the only check is here, before the simulation starts.
-    if (cancel_ != nullptr && cancel_->cancelled()) {
-      out.cancelled = true;
-      note_progress();
-      return;
-    }
     const SweepJob& job = jobs[index];
     const auto j0 = Clock::now();
     out.start_ms = ms_between(t0, j0);
@@ -252,9 +220,6 @@ SweepReport SweepRunner::run(const std::vector<SweepJob>& jobs) const {
     pool.wait_idle();
   }
   report.wall_ms = ms_between(t0, Clock::now());
-  for (const SweepOutcome& j : report.jobs) {
-    if (j.cancelled) ++report.cancelled_jobs;
-  }
 
   for (const auto& [key, g] : groups) {
     if (!g.snap) continue;
@@ -304,7 +269,7 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
   // "percentiles" and "timeline".  None of these feed the checksum, but the
   // dvfs scalars mirror checksummed dvfs.* stats.
   os << "{\n"
-     << "  \"bench\": \"" << json_escape(name) << "\",\n"
+     << "  \"bench\": " << obs::json_quote(name) << ",\n"
      << "  \"schema_version\": 5,\n"
      << "  \"workers\": " << report.workers << ",\n"
      << "  \"wall_ms\": " << json_f64(report.wall_ms) << ",\n"
@@ -317,8 +282,8 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
     const SweepOutcome& j = report.jobs[i];
     const RunResult& r = j.result;
     os << (i == 0 ? "\n" : ",\n")
-       << "    {\"benchmark\": \"" << json_escape(r.benchmark) << "\""
-       << ", \"scheme\": \"" << json_escape(r.scheme) << "\""
+       << "    {\"benchmark\": " << obs::json_quote(r.benchmark)
+       << ", \"scheme\": " << obs::json_quote(r.scheme)
        << ", \"vdd\": " << json_f64(r.vdd)
        << ", \"committed\": " << r.committed
        << ", \"cycles\": " << r.cycles
@@ -344,8 +309,8 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
         continue;
       }
       const std::string base_name = sname.substr(0, sname.size() - kSuffix.size());
-      os << (any_pct ? ", " : ", \"percentiles\": {") << "\"" << json_escape(base_name)
-         << "\": {\"p50\": " << json_f64(value)
+      os << (any_pct ? ", " : ", \"percentiles\": {") << obs::json_quote(base_name)
+         << ": {\"p50\": " << json_f64(value)
          << ", \"p95\": " << json_f64(r.stats.scalar(base_name + ".p95"))
          << ", \"p99\": " << json_f64(r.stats.scalar(base_name + ".p99")) << "}";
       any_pct = true;
@@ -357,7 +322,7 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
     }
     if (r.dvfs) {
       const DvfsSummary& d = *r.dvfs;
-      os << ", \"dvfs\": {\"policy\": \"" << json_escape(d.policy) << "\""
+      os << ", \"dvfs\": {\"policy\": " << obs::json_quote(d.policy)
          << ", \"epochs\": " << d.epochs
          << ", \"wall_units\": " << d.wall_units
          << ", \"period_final\": " << d.period_final

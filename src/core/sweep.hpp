@@ -14,7 +14,6 @@
 #ifndef VASIM_CORE_SWEEP_HPP
 #define VASIM_CORE_SWEEP_HPP
 
-#include <atomic>
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
@@ -25,24 +24,6 @@
 #include "src/core/runner.hpp"
 
 namespace vasim::core {
-
-/// Cooperative cancellation handle shared between a sweep and its caller
-/// (e.g. another thread abandoning the sweep).  Cancelling never interrupts a
-/// running simulation: jobs that have already started run to completion and
-/// keep their (bitwise-unchanged) results; jobs not yet started come back
-/// with SweepOutcome::cancelled set and a default RunResult.
-class CancelToken {
- public:
-  CancelToken() = default;
-  CancelToken(const CancelToken&) = delete;  // the flag is the shared identity
-  CancelToken& operator=(const CancelToken&) = delete;
-
-  void cancel() { flag_.store(true, std::memory_order_release); }
-  [[nodiscard]] bool cancelled() const { return flag_.load(std::memory_order_acquire); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
 
 /// One cell of a sweep grid.  `scheme == nullopt` requests the fault-free
 /// baseline at `vdd`; `config` overrides the sweep-wide RunnerConfig for
@@ -62,9 +43,6 @@ struct SweepOutcome {
   double wall_ms = 0.0;
   double start_ms = 0.0;
   std::size_t worker = 0;
-  /// Set when the sweep's CancelToken fired before this job started; the
-  /// result is default-constructed and must not be interpreted.
-  bool cancelled = false;
 };
 
 /// A whole sweep: outcomes in submission order plus aggregate timing.
@@ -72,7 +50,6 @@ struct SweepReport {
   std::vector<SweepOutcome> jobs;
   double wall_ms = 0.0;      ///< end-to-end sweep wall time
   std::size_t workers = 1;   ///< pool size the sweep ran with
-  std::size_t cancelled_jobs = 0;  ///< outcomes with .cancelled set
   // Warm-start sharing accounting (all zero unless set_reuse_warmup(true)).
   std::size_t warmup_groups = 0;     ///< shared-warmup groups actually captured
   u64 warmup_cycles_simulated = 0;   ///< warmup cycles run once per shared group
@@ -120,20 +97,11 @@ class SweepRunner {
     if (batch != 1) throw std::invalid_argument("SweepRunner: batch must be 1 (batching removed)");
   }
 
-  /// Cooperative cancellation: when `token` is non-null, run() checks it
-  /// between jobs.  Jobs that have not started when the token fires are
-  /// skipped and come back with SweepOutcome::cancelled; jobs already running
-  /// finish normally and their results stay bitwise identical to an
-  /// uncancelled sweep's (tests/test_sweep.cpp pins both halves).
-  /// Non-owning; must outlive run().
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
-
  private:
   RunnerConfig cfg_;
   std::size_t workers_;
   bool progress_ = false;
   bool reuse_warmup_ = false;
-  const CancelToken* cancel_ = nullptr;
 };
 
 /// FNV-1a checksum over the order-sensitive, thread-count-invariant fields
@@ -144,8 +112,8 @@ class SweepRunner {
 [[nodiscard]] u64 sweep_checksum(const SweepReport& report);
 
 /// Checksum of a single result (same field walk as sweep_checksum but no
-/// sequence-length prefix).  This is the per-job identity the cancellation
-/// tests and perfbench pins compare against standalone runs.
+/// sequence-length prefix).  This is the per-job identity the perfbench
+/// pins compare against standalone runs.
 [[nodiscard]] u64 result_checksum(const RunResult& result);
 
 /// Serializes a sweep as JSON: run identity, per-job metrics and wall

@@ -242,7 +242,7 @@ class Pipeline {
 
   /// Advances the adaptive clock one cycle and steps the DVFS controller at
   /// epoch-commit thresholds (same re-arm discipline as note_timeline, so
-  /// every driver -- run, sweep, shard -- steps it identically).
+  /// every driver -- run, sweep, warm start -- steps it identically).
   void note_clock() {
     if (clock_ == nullptr) return;
     clock_->tick();

@@ -155,71 +155,6 @@ CpiStack Timeline::cpi_window(std::size_t w) const {
   return st;
 }
 
-void Timeline::save(snap::Writer& w) const {
-  w.put_u32(kTimelineSchema);
-  w.put_u64(interval_);
-  w.put_f64(phase_delta_);
-  w.put_u64(base_cycle_);
-  w.put_u64(base_committed_);
-  w.put_u64(static_cast<u64>(measurement_start_));
-  w.put_u32(static_cast<u32>(names_.size()));
-  for (const std::string& n : names_) w.put_str(n);
-  w.put_u32(static_cast<u32>(windows()));
-  for (std::size_t i = 0; i < windows(); ++i) {
-    w.put_u64(cycle_end_[i]);
-    w.put_u64(committed_end_[i]);
-    w.put_u8(phase_[i]);
-  }
-  for (const u64 d : deltas_) w.put_u64(d);
-}
-
-Timeline Timeline::load(snap::Reader& r) {
-  const u32 schema = r.get_u32();
-  if (schema != kTimelineSchema) {
-    throw std::runtime_error("timeline blob schema " + std::to_string(schema) +
-                             " (this build reads " + std::to_string(kTimelineSchema) + ")");
-  }
-  Timeline t;
-  t.interval_ = r.get_u64();
-  t.phase_delta_ = r.get_f64();
-  t.base_cycle_ = r.get_u64();
-  t.base_committed_ = r.get_u64();
-  t.measurement_start_ = static_cast<std::size_t>(r.get_u64());
-  const u32 nc = r.get_count("timeline counter names", 4);  // u32 length each
-  t.names_.reserve(nc);
-  for (u32 i = 0; i < nc; ++i) t.names_.push_back(r.get_str());
-  // A window is two u64 boundaries, a phase byte and one u64 per counter.
-  const u32 nw = r.get_count("timeline windows", 17 + std::size_t{8} * nc);
-  t.reserve(nw);
-  for (u32 i = 0; i < nw; ++i) {
-    t.cycle_end_.push_back(r.get_u64());
-    t.committed_end_.push_back(r.get_u64());
-    t.phase_.push_back(r.get_u8());
-  }
-  t.deltas_.resize(static_cast<std::size_t>(nw) * nc);
-  for (u64& d : t.deltas_) d = r.get_u64();
-  if (nw > 0) {
-    t.last_cycle_ = t.cycle_end_.back();
-    t.last_committed_ = t.committed_end_.back();
-  }
-  // Re-resolve the derived-series columns against the loaded names.
-  t.col_cpi_.fill(-1);
-  for (std::size_t c = 0; c < t.names_.size(); ++c) {
-    const std::string& n = t.names_[c];
-    if (n == "fault.actual") t.col_fault_actual_ = static_cast<int>(c);
-    if (n == "fault.handled") t.col_fault_handled_ = static_cast<int>(c);
-    if (n == "dvfs.wall_units") t.col_wall_units_ = static_cast<int>(c);
-    if (n.rfind("fault.stage.", 0) == 0) t.stage_cols_.push_back(c);
-    for (int i = 0; i < kNumCpiCauses; ++i) {
-      if (n == "cpi." + std::string(to_string(static_cast<CpiCause>(i)))) {
-        t.col_cpi_[static_cast<std::size_t>(i)] = static_cast<int>(c);
-      }
-    }
-  }
-  t.finalized_ = true;
-  return t;
-}
-
 void Timeline::write_json(std::ostream& os, bool include_counters) const {
   const std::size_t n = windows();
   os << "{\"kind\": \"vasim_timeline\", \"schema_version\": " << kTimelineSchema

@@ -35,7 +35,6 @@
 #include "src/common/types.hpp"
 #include "src/obs/cpi.hpp"
 #include "src/obs/registry.hpp"
-#include "src/snap/io.hpp"
 
 namespace vasim::obs {
 
@@ -123,12 +122,6 @@ class Timeline {
   [[nodiscard]] double period_permille(std::size_t w) const;
 
   // ---- export ----------------------------------------------------------------
-  /// Schema-versioned binary blob (schema in docs/observability.md).
-  void save(snap::Writer& w) const;
-  /// Rebuilds a timeline from save()'s blob.  The result is export-only
-  /// (no registry attached); sample() on it is illegal.
-  [[nodiscard]] static Timeline load(snap::Reader& r);
-
   /// One JSON object: {"kind": "vasim_timeline", ...} with the raw columns
   /// and every derived series.  `include_counters` drops the raw per-counter
   /// delta matrix (used when embedding per-job timelines in the sweep JSON).
@@ -145,8 +138,6 @@ class Timeline {
                              double us_per_cycle) const;
 
  private:
-  Timeline() = default;  // load()
-
   void reserve(std::size_t windows);
   void push_window(Cycle now, u64 committed);
 

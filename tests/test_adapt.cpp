@@ -1,9 +1,8 @@
 // Adaptive clocking subsystem (src/adapt/, docs/adaptive.md): config
 // validation, the state-dependent delay model, the static-policy identity
 // guarantee (kStatic is bitwise today's behavior), controller behavior at
-// both ends of the supply range, cross-path determinism (per-job / shard
-// fragments), snapshot round-trips per policy and the cross-policy
-// warm-start rejection.
+// both ends of the supply range, determinism across worker counts, snapshot
+// round-trips per policy and the cross-policy warm-start rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include "src/adapt/controller.hpp"
 #include "src/adapt/dvfs.hpp"
 #include "src/core/runner.hpp"
-#include "src/core/shard.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/core/sweep.hpp"
 #include "src/obs/timeline.hpp"
@@ -286,24 +284,6 @@ void expect_paths_agree(adapt::DvfsPolicy policy) {
   const core::SweepRunner pooled(rc, 3);
   EXPECT_EQ(core::sweep_checksum(pooled.run(jobs)), want) << "worker count changed results";
 
-  // Shard halves through the fragment JSON codec (dvfs block included) and
-  // merge back: still the same checksum.
-  std::vector<core::SweepFragment> fragments;
-  for (std::size_t i = 1; i <= 2; ++i) {
-    const core::ShardSpec spec{i, 2};
-    const std::vector<std::size_t> indices = core::shard_indices(jobs, spec, false, rc);
-    std::vector<core::SweepJob> mine;
-    for (const std::size_t j : indices) mine.push_back(jobs[j]);
-    core::SweepRunner shard_runner(rc, 2);
-    core::SweepFragment f = core::make_fragment("adapt", spec, jobs.size(), indices,
-                                                shard_runner.run(mine));
-    std::stringstream ss;
-    core::write_fragment_json(ss, f);
-    fragments.push_back(core::read_fragment_json(ss, "frag"));
-  }
-  const core::SweepReport merged = core::merge_fragments(std::move(fragments));
-  EXPECT_EQ(core::sweep_checksum(merged), want) << "shard merge changed results";
-
   // Per-job shape: scheme jobs carry the dvfs summary, fault-free jobs not.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const core::RunResult& r = base.jobs[i].result;
@@ -311,16 +291,14 @@ void expect_paths_agree(adapt::DvfsPolicy policy) {
       ASSERT_TRUE(r.dvfs.has_value()) << "scheme job " << i;
       EXPECT_EQ(r.dvfs->policy, adapt::to_string(policy));
       EXPECT_EQ(r.dvfs->epochs, r.dvfs->trajectory.size());
-      const core::RunResult& m = merged.jobs[i].result;
-      ASSERT_TRUE(m.dvfs.has_value()) << "fragment codec dropped the dvfs block";
-      EXPECT_EQ(m.dvfs->trajectory.size(), r.dvfs->trajectory.size());
-      EXPECT_EQ(m.dvfs->wall_units, r.dvfs->wall_units);
     } else {
       EXPECT_FALSE(r.dvfs.has_value()) << "fault-free job " << i;
     }
   }
 }
 
+// The names predate the removal of the batch and shard paths; they stay so
+// that test identity is stable.
 TEST(DvfsDeterminism, ReactiveAgreesAcrossJobsBatchAndShardPaths) {
   expect_paths_agree(adapt::DvfsPolicy::kReactive);
 }

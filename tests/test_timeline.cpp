@@ -8,7 +8,6 @@
 // unchanged.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <map>
@@ -24,7 +23,6 @@
 #include "src/obs/profiler.hpp"
 #include "src/obs/timeline.hpp"
 #include "src/obs/trace.hpp"
-#include "src/snap/io.hpp"
 #include "src/timing/voltage.hpp"
 #include "src/workload/profiles.hpp"
 #include "tests/json_util.hpp"
@@ -197,61 +195,6 @@ core::RunResult one_sampled_run() {
       .run_results({{workload::spec2006_profile("sjeng"), core::scheme_by_name("abs"), 0.97,
                      std::nullopt}})
       .front();
-}
-
-TEST(Timeline, BinaryBlobRoundTripIsLossless) {
-  const core::RunResult r = one_sampled_run();
-  snap::Writer w1;
-  r.timeline->save(w1);
-  snap::Reader rd(w1.data());
-  const obs::Timeline back = obs::Timeline::load(rd);
-  rd.expect_done("timeline blob");
-
-  ASSERT_EQ(back.windows(), r.timeline->windows());
-  EXPECT_EQ(back.interval(), r.timeline->interval());
-  EXPECT_EQ(back.measurement_start(), r.timeline->measurement_start());
-  ASSERT_EQ(back.num_counters(), r.timeline->num_counters());
-  for (std::size_t w = 0; w < back.windows(); ++w) {
-    EXPECT_EQ(back.cycle_end(w), r.timeline->cycle_end(w));
-    EXPECT_EQ(back.committed_end(w), r.timeline->committed_end(w));
-    EXPECT_EQ(back.phase_change(w), r.timeline->phase_change(w));
-    for (std::size_t c = 0; c < back.num_counters(); ++c) {
-      EXPECT_EQ(back.delta(w, c), r.timeline->delta(w, c));
-    }
-  }
-  // Byte-level fixpoint: re-serializing the loaded timeline reproduces the
-  // blob exactly.
-  snap::Writer w2;
-  back.save(w2);
-  EXPECT_EQ(w1.data(), w2.data());
-}
-
-TEST(Timeline, HugeBlobCountsAreRejectedByName) {
-  const core::RunResult r = one_sampled_run();
-  snap::Writer w;
-  r.timeline->save(w);
-  const std::vector<unsigned char> blob = w.take();
-  // Layout: u32 schema and five u64 header fields, the u32 counter-name
-  // count, the names (u32 length + bytes), then the u32 window count.
-  const std::size_t names_at = 4 + 5 * 8;
-  std::size_t windows_at = names_at + 4;
-  for (std::size_t c = 0; c < r.timeline->num_counters(); ++c) {
-    windows_at += 4 + r.timeline->counter_name(c).size();
-  }
-  const auto expect_rejected = [&](std::size_t at, const std::string& field) {
-    std::vector<unsigned char> bad = blob;
-    std::fill(bad.begin() + static_cast<std::ptrdiff_t>(at),
-              bad.begin() + static_cast<std::ptrdiff_t>(at + 4), 0xFF);
-    snap::Reader rd(bad);
-    try {
-      (void)obs::Timeline::load(rd);
-      FAIL() << field << ": a count of 0xFFFFFFFF was accepted";
-    } catch (const snap::SnapshotError& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
-    }
-  };
-  expect_rejected(names_at, "timeline counter names");
-  expect_rejected(windows_at, "timeline windows");
 }
 
 TEST(Timeline, JsonAndCsvExportsAreWellFormed) {

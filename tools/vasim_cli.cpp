@@ -18,7 +18,7 @@
 //       --profile attributes the simulator's own wall-time to its pipeline
 //       stages (docs/observability.md).
 //   vasim sweep --bench <name>|all [--instr N] [--warmup N] [--jobs N]
-//               [--shard i/N] [--json FILE] [--trace FILE]
+//               [--json FILE] [--trace FILE]
 //               [--timeline-interval K] [--dvfs POLICY] [--epoch N]
 //               [--cpi] [--progress] [--profile]
 //       Run every scheme at both faulty supplies for one benchmark (or the
@@ -26,15 +26,10 @@
 //       results are deterministic at any worker count), optionally dumping
 //       the machine-readable JSON result sink to FILE, a Chrome-trace span
 //       per job to --trace, per-scheme CPI stacks with --cpi, and a live
-//       done/total + ETA line on stderr with --progress.  --shard runs only
-//       the i-th of N deterministic grid partitions and writes a JSON
-//       fragment instead of the tables (docs/sweep.md);
+//       done/total + ETA line on stderr with --progress;
 //       --timeline-interval embeds a per-job timeline in the JSON sink and
 //       appends Perfetto counter tracks to --trace; --profile prints
 //       per-worker and whole-sweep simulator self-profiles.
-//   vasim sweep-merge FRAGMENT... --out FILE
-//       Join per-shard fragments back into one submission-ordered schema-4
-//       report; the FNV checksum is bitwise identical to the unsharded run.
 //   vasim record --bench <name> --out FILE [--instr N]
 //       Capture a committed-path trace to a vasim-trace file.
 //   vasim replay --trace FILE --scheme <name> [--vdd V] [--instr N]
@@ -63,7 +58,6 @@
 #include "src/common/thread_pool.hpp"
 #include "src/cpu/config.hpp"
 #include "src/core/runner.hpp"
-#include "src/core/shard.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/core/sweep.hpp"
 #include "src/cpu/observer.hpp"
@@ -95,8 +89,8 @@ const std::set<std::string> kFlagOptions = {
     "cpi", "csv", "profile", "progress", "reuse-warmup", "stats"};
 const std::set<std::string> kValueOptions = {
     "at", "bench", "dvfs", "epoch", "from-snapshot", "instr", "iq", "jobs", "json", "kanata",
-    "out", "period-max", "period-min", "phys", "predictor", "rob", "scheme", "seed", "shard",
-    "timeline", "timeline-interval", "trace", "vdd", "warmup"};
+    "out", "period-max", "period-min", "phys", "predictor", "rob", "scheme", "seed", "timeline",
+    "timeline-interval", "trace", "vdd", "warmup"};
 
 bool parse_options(int start, int argc, char** argv, Args& a) {
   for (int i = start; i < argc; ++i) {
@@ -166,11 +160,10 @@ int usage() {
             << "            [--stats] [--csv] [--cpi] [--progress] [--profile]\n"
             << "  vasim sweep --bench <name>|all [--instr N] [--warmup N] [--jobs N]\n"
             << "              [--iq N] [--rob N] [--phys N]\n"
-            << "              [--shard i/N] [--json FILE] [--trace FILE]\n"
+            << "              [--json FILE] [--trace FILE]\n"
             << "              [--timeline-interval K] [--dvfs POLICY] [--epoch N]\n"
             << "              [--period-min P] [--period-max P] [--cpi] [--progress]\n"
             << "              [--reuse-warmup] [--profile]\n"
-            << "  vasim sweep-merge FRAGMENT... --out FILE\n"
             << "  vasim snap save --bench <name> --scheme <name> --out FILE [--vdd V]\n"
             << "                  [--instr N] [--warmup N] [--at N] [--predictor tep|mre|tvp]\n"
             << "  vasim snap info FILE\n";
@@ -542,48 +535,6 @@ int cmd_sweep(const Args& args) {
     }
   }
 
-  if (args.has("shard")) {
-    // Shard mode: run only this shard's deterministic partition of the full
-    // grid and emit a fragment (job indices are global, so the per-supply
-    // tables would be misleading -- the merge side renders the report).
-    core::ShardSpec spec;
-    try {
-      spec = core::parse_shard(args.get("shard", ""));
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << "\n";
-      return 2;
-    }
-    const std::vector<std::size_t> indices =
-        core::shard_indices(jobs, spec, args.has("reuse-warmup"), sweeper.config());
-    std::vector<core::SweepJob> shard_jobs;
-    shard_jobs.reserve(indices.size());
-    for (const std::size_t i : indices) shard_jobs.push_back(jobs[i]);
-    core::SweepReport shard_report;
-    try {
-      shard_report = sweeper.run(shard_jobs);
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << "\n";
-      return 2;
-    }
-    const double wall_ms = shard_report.wall_ms;
-    const core::SweepFragment frag = core::make_fragment(
-        "cli_sweep", spec, jobs.size(), indices, std::move(shard_report));
-    const std::string path =
-        args.has("json") ? args.get("json", "")
-                         : "BENCH_sweep.shard_" + std::to_string(spec.index) + "_of_" +
-                               std::to_string(spec.count) + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open " << path << "\n";
-      return 2;
-    }
-    core::write_fragment_json(out, frag);
-    std::cout << "shard " << spec.index << "/" << spec.count << ": " << indices.size()
-              << " of " << jobs.size() << " jobs in " << TextTable::fmt(wall_ms, 0)
-              << " ms; fragment written to " << path << "\n";
-    return 0;
-  }
-
   const core::SweepReport report = sweeper.run(jobs);
 
   const int commit_width = sweeper.config().core.commit_width;
@@ -812,54 +763,6 @@ int cmd_snap_info(const std::string& path) {
   }
 }
 
-int cmd_sweep_merge(int argc, char** argv) {
-  // Positional fragment paths plus --out; parsed by hand because the
-  // generic parser only understands --key value pairs.
-  std::vector<std::string> paths;
-  std::string out_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out") {
-      if (i + 1 >= argc) return usage();
-      out_path = argv[++i];
-    } else if (arg.rfind("--", 0) == 0) {
-      return usage();
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.empty() || out_path.empty()) return usage();
-  try {
-    std::vector<core::SweepFragment> fragments;
-    fragments.reserve(paths.size());
-    for (const std::string& p : paths) {
-      std::ifstream in(p);
-      if (!in) {
-        std::cerr << "cannot open " << p << "\n";
-        return 2;
-      }
-      fragments.push_back(core::read_fragment_json(in, p));
-    }
-    const std::string name = fragments.front().name;
-    const core::SweepReport merged = core::merge_fragments(std::move(fragments));
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << "\n";
-      return 2;
-    }
-    core::write_sweep_json(out, name, merged);
-    char checksum[32];
-    std::snprintf(checksum, sizeof checksum, "%016llx",
-                  static_cast<unsigned long long>(core::sweep_checksum(merged)));
-    std::cout << "merged " << paths.size() << " fragment(s) -> " << merged.jobs.size()
-              << " jobs, checksum " << checksum << ", report written to " << out_path << "\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
-}
-
 int cmd_snap(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string sub = argv[2];
@@ -882,7 +785,6 @@ int main(int argc, char** argv) {
     if (argc < 2) return usage();
     const std::string verb = argv[1];
     if (verb == "snap") return cmd_snap(argc, argv);
-    if (verb == "sweep-merge") return cmd_sweep_merge(argc, argv);
     // An unknown verb gets the usage text before any of its options is read.
     const std::map<std::string, int (*)(const Args&)> verbs = {
         {"list", [](const Args&) { return cmd_list(); }},
