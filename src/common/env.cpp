@@ -7,35 +7,40 @@
 
 namespace vasim {
 
+namespace {
+
+/// Strict parse: the whole value must be decimal digits (strtoull alone
+/// would silently accept "4x16" as 4, "2k" as 2 and "-1" as 2^64-1).
+bool all_digits(const char* raw) {
+  for (const char* p = raw; *p != '\0'; ++p) {
+    if (std::isdigit(static_cast<unsigned char>(*p)) == 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 u64 env_u64(const std::string& name, u64 fallback) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw) return fallback;
-  return static_cast<u64>(v);
+  if (!all_digits(raw)) {
+    std::fprintf(stderr, "[env] ignoring %s='%s' (not a plain decimal number); using the default\n",
+                 name.c_str(), raw);
+    return fallback;
+  }
+  return static_cast<u64>(std::strtoull(raw, nullptr, 10));
 }
 
 u64 env_count(const std::string& name, u64 fallback, u64 max_value) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
-  // Strict parse: the whole value must be decimal digits (strtoull alone
-  // would silently accept "4x16" as 4 and "abc" as 0).
-  bool all_digits = true;
-  for (const char* p = raw; *p != '\0'; ++p) {
-    if (std::isdigit(static_cast<unsigned char>(*p)) == 0) {
-      all_digits = false;
-      break;
-    }
-  }
-  if (!all_digits) {
+  if (!all_digits(raw)) {
     std::fprintf(stderr, "[env] ignoring %s='%s' (not a plain decimal count); using the default\n",
                  name.c_str(), raw);
     return fallback;
   }
-  char* end = nullptr;
   errno = 0;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
+  const unsigned long long v = std::strtoull(raw, nullptr, 10);
   if (errno == ERANGE || v > max_value) {
     std::fprintf(stderr, "[env] %s=%s exceeds the sane maximum %llu; clamping\n", name.c_str(),
                  raw, static_cast<unsigned long long>(max_value));

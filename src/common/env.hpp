@@ -9,15 +9,13 @@
 namespace vasim {
 
 /// Reads an unsigned integer from the environment; `fallback` when unset or
-/// unparsable.
+/// empty.  A value that is not a plain decimal number (trailing junk such as
+/// "2k" included) warns on stderr and returns `fallback`.
 u64 env_u64(const std::string& name, u64 fallback);
 
-/// Reads a *count* knob (worker counts such as VASIM_JOBS)
-/// with loud validation instead of env_u64's silent fallback: a value that
-/// is not a plain decimal number (including trailing junk like "4x"), or is
-/// explicitly 0, warns on stderr and returns `fallback`; a value above
-/// `max_value` warns and clamps.  Unset/empty stays silent and returns
-/// `fallback`.
+/// Reads a *count* knob (worker counts such as VASIM_JOBS) with the same
+/// strict parse as env_u64, plus: an explicit 0 warns and returns
+/// `fallback`, and a value above `max_value` warns and clamps.
 u64 env_count(const std::string& name, u64 fallback, u64 max_value);
 
 /// Reads a string from the environment; `fallback` when unset.

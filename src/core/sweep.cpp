@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -77,15 +76,6 @@ void fnv_result(u64& h, const RunResult& r) {
     fnv_str(h, name);
     fnv_f64(h, value);
   }
-}
-
-// ---- JSON ------------------------------------------------------------------
-
-std::string json_f64(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -272,7 +262,7 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
      << "  \"bench\": " << obs::json_quote(name) << ",\n"
      << "  \"schema_version\": 5,\n"
      << "  \"workers\": " << report.workers << ",\n"
-     << "  \"wall_ms\": " << json_f64(report.wall_ms) << ",\n"
+     << "  \"wall_ms\": " << obs::json_number(report.wall_ms) << ",\n"
      << "  \"warmup_groups\": " << report.warmup_groups << ",\n"
      << "  \"warmup_cycles_simulated\": " << report.warmup_cycles_simulated << ",\n"
      << "  \"warmup_cycles_saved\": " << report.warmup_cycles_saved << ",\n"
@@ -284,15 +274,15 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
     os << (i == 0 ? "\n" : ",\n")
        << "    {\"benchmark\": " << obs::json_quote(r.benchmark)
        << ", \"scheme\": " << obs::json_quote(r.scheme)
-       << ", \"vdd\": " << json_f64(r.vdd)
+       << ", \"vdd\": " << obs::json_number(r.vdd)
        << ", \"committed\": " << r.committed
        << ", \"cycles\": " << r.cycles
-       << ", \"ipc\": " << json_f64(r.ipc)
-       << ", \"fault_rate_pct\": " << json_f64(r.fault_rate_pct)
-       << ", \"replays\": " << json_f64(r.replays)
-       << ", \"predictor_accuracy\": " << json_f64(r.predictor_accuracy)
-       << ", \"energy_nj\": " << json_f64(r.energy.total_nj())
-       << ", \"edp\": " << json_f64(r.energy.edp)
+       << ", \"ipc\": " << obs::json_number(r.ipc)
+       << ", \"fault_rate_pct\": " << obs::json_number(r.fault_rate_pct)
+       << ", \"replays\": " << obs::json_number(r.replays)
+       << ", \"predictor_accuracy\": " << obs::json_number(r.predictor_accuracy)
+       << ", \"energy_nj\": " << obs::json_number(r.energy.total_nj())
+       << ", \"edp\": " << obs::json_number(r.energy.edp)
        << ", \"cpi\": {";
     for (int c = 0; c < obs::kNumCpiCauses; ++c) {
       os << (c == 0 ? "" : ", ") << "\"" << obs::to_string(static_cast<obs::CpiCause>(c))
@@ -310,9 +300,9 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
       }
       const std::string base_name = sname.substr(0, sname.size() - kSuffix.size());
       os << (any_pct ? ", " : ", \"percentiles\": {") << obs::json_quote(base_name)
-         << ": {\"p50\": " << json_f64(value)
-         << ", \"p95\": " << json_f64(r.stats.scalar(base_name + ".p95"))
-         << ", \"p99\": " << json_f64(r.stats.scalar(base_name + ".p99")) << "}";
+         << ": {\"p50\": " << obs::json_number(value)
+         << ", \"p95\": " << obs::json_number(r.stats.scalar(base_name + ".p95"))
+         << ", \"p99\": " << obs::json_number(r.stats.scalar(base_name + ".p99")) << "}";
       any_pct = true;
     }
     if (any_pct) os << "}";
@@ -328,8 +318,8 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
          << ", \"period_final\": " << d.period_final
          << ", \"period_lo\": " << d.period_lo
          << ", \"period_hi\": " << d.period_hi
-         << ", \"avg_period_permille\": " << json_f64(d.avg_period_permille)
-         << ", \"throughput\": " << json_f64(d.throughput)
+         << ", \"avg_period_permille\": " << obs::json_number(d.avg_period_permille)
+         << ", \"throughput\": " << obs::json_number(d.throughput)
          << ", \"trajectory\": [";
       for (std::size_t t = 0; t < d.trajectory.size(); ++t) {
         const adapt::TrajectoryPoint& p = d.trajectory[t];
@@ -338,7 +328,7 @@ void write_sweep_json(std::ostream& os, const std::string& name, const SweepRepo
       }
       os << "]}";
     }
-    os << ", \"wall_ms\": " << json_f64(j.wall_ms) << "}";
+    os << ", \"wall_ms\": " << obs::json_number(j.wall_ms) << "}";
   }
   os << "\n  ]\n}\n";
 }

@@ -107,7 +107,7 @@ class SweepRunner {
 /// FNV-1a checksum over the order-sensitive, thread-count-invariant fields
 /// of a result sequence (identities, counts, bit patterns of the doubles,
 /// and all stat counters).  Equal checksums across worker counts are the
-/// determinism witness used by tests and bench_sweep_speedup.
+/// determinism witness used by the tests and by perfbench.
 [[nodiscard]] u64 sweep_checksum(const std::vector<RunResult>& results);
 [[nodiscard]] u64 sweep_checksum(const SweepReport& report);
 

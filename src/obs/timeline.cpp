@@ -1,7 +1,6 @@
 #include "src/obs/timeline.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
@@ -11,13 +10,6 @@ namespace vasim::obs {
 namespace {
 
 constexpr u32 kTimelineSchema = 1;
-
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -167,7 +159,7 @@ void Timeline::write_json(std::ostream& os, bool include_counters) const {
   };
   const auto series = [&](const char* key, auto&& get) {
     os << '"' << key << "\": [";
-    for (std::size_t w = 0; w < n; ++w) os << (w ? ", " : "") << json_num(get(w));
+    for (std::size_t w = 0; w < n; ++w) os << (w ? ", " : "") << json_number(get(w));
     os << ']';
   };
   u64_array("cycle_end", [&](std::size_t w) { return cycle_end_[w]; });
@@ -239,9 +231,9 @@ void Timeline::write_csv(std::ostream& os) const {
   os << '\n';
   for (std::size_t w = 0; w < windows(); ++w) {
     os << w << ',' << cycle_end_[w] << ',' << committed_end_[w] << ','
-       << static_cast<int>(phase_[w]) << ',' << json_num(ipc(w)) << ','
-       << json_num(violation_rate(w)) << ',' << json_num(predictor_accuracy(w)) << ','
-       << json_num(recovery_overhead(w));
+       << static_cast<int>(phase_[w]) << ',' << json_number(ipc(w)) << ','
+       << json_number(violation_rate(w)) << ',' << json_number(predictor_accuracy(w)) << ','
+       << json_number(recovery_overhead(w));
     for (std::size_t c = 0; c < names_.size(); ++c) os << ',' << delta(w, c);
     os << '\n';
   }
@@ -253,16 +245,16 @@ void Timeline::append_counter_tracks(ChromeTraceWriter& trace, u64 pid, u64 tid,
   for (std::size_t w = 0; w < windows(); ++w) {
     const double ts = ts0_us + static_cast<double>(cycle_end_[w]) * us_per_cycle;
     trace.counter_event(prefix + "ipc", "timeline", pid, tid, ts,
-                        {{"ipc", json_num(ipc(w))}});
+                        {{"ipc", json_number(ipc(w))}});
     trace.counter_event(prefix + "violation_rate", "timeline", pid, tid, ts,
-                        {{"rate", json_num(violation_rate(w))}});
+                        {{"rate", json_number(violation_rate(w))}});
     trace.counter_event(prefix + "predictor_accuracy", "timeline", pid, tid, ts,
-                        {{"accuracy", json_num(predictor_accuracy(w))}});
+                        {{"accuracy", json_number(predictor_accuracy(w))}});
     trace.counter_event(prefix + "recovery_overhead", "timeline", pid, tid, ts,
-                        {{"fraction", json_num(recovery_overhead(w))}});
+                        {{"fraction", json_number(recovery_overhead(w))}});
     if (has_period_series()) {
       trace.counter_event(prefix + "period_permille", "timeline", pid, tid, ts,
-                          {{"permille", json_num(period_permille(w))}});
+                          {{"permille", json_number(period_permille(w))}});
     }
     const CpiStack st = cpi_window(w);
     const u64 di = committed_delta(w);
@@ -271,7 +263,7 @@ void Timeline::append_counter_tracks(ChromeTraceWriter& trace, u64 pid, u64 tid,
       const double window_cpi =
           static_cast<double>(cycle_delta(w)) / static_cast<double>(di);
       const auto cpi_of = [&](CpiCause c) {
-        return json_num(static_cast<double>(st[c]) / static_cast<double>(total) * window_cpi);
+        return json_number(static_cast<double>(st[c]) / static_cast<double>(total) * window_cpi);
       };
       trace.counter_event(prefix + "cpi_stack", "timeline", pid, tid, ts,
                           {{"base", cpi_of(CpiCause::kBase)},

@@ -13,9 +13,9 @@
 // Sampling is zero-alloc in steady state: the store is reserved up front
 // from a capacity hint (windows grow geometrically only if the hint was
 // short) and sample() is a fixed number of subtractions and appends into
-// reserved storage.  bench_micro records the measured MIPS cost in
-// BENCH_timeline.json; with no timeline attached the per-cycle cost is one
-// predictable branch, and results are bitwise unchanged.
+// reserved storage.  perfbench trends the measured cost as
+// obs.timeline_overhead_pct; with no timeline attached the per-cycle cost is
+// one predictable branch, and results are bitwise unchanged.
 //
 // Window accounting contract (what the reconciliation tests pin): windows
 // partition the sampled run exactly -- for every tracked counter, the sum of

@@ -39,6 +39,13 @@ std::string json_quote(std::string_view s) {
   return out;
 }
 
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
 ChromeTraceWriter::ChromeTraceWriter(std::ostream* out) : out_(out) {
   *out_ << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
 }

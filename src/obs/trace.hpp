@@ -29,13 +29,17 @@ namespace vasim::obs {
 /// JSON string literal (quotes + escapes) for trace arg values.
 std::string json_quote(std::string_view s);
 
+/// JSON number with `%.17g`, so every finite double parses back exactly;
+/// NaN and infinities (which JSON cannot spell) are written as `null`.
+std::string json_number(double v);
+
 /// Chrome-trace-event JSON stream.  All ts/dur are microseconds, per the
 /// trace-event spec; callers map simulated cycles or wall milliseconds onto
 /// them.
 class ChromeTraceWriter {
  public:
   /// One (key, value) trace arg; `value` must already be valid JSON (use
-  /// json_quote for strings, std::to_string for numbers).
+  /// json_quote for strings, json_number or std::to_string for numbers).
   using Arg = std::pair<std::string_view, std::string>;
 
   /// `out` must outlive the writer.  The header is written immediately.

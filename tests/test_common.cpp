@@ -181,6 +181,11 @@ TEST(Env, FallbacksAndParsing) {
   ::setenv("VASIM_TEST_ENV", "junk", 1);
   EXPECT_EQ(env_u64("VASIM_TEST_ENV", 7), 7u);
   EXPECT_EQ(env_str("VASIM_TEST_ENV", "d"), "junk");
+  // Trailing junk is rejected whole, not read as its numeric prefix.
+  ::setenv("VASIM_TEST_ENV", "2k", 1);
+  EXPECT_EQ(env_u64("VASIM_TEST_ENV", 7), 7u);
+  ::setenv("VASIM_TEST_ENV", "4x16", 1);
+  EXPECT_EQ(env_u64("VASIM_TEST_ENV", 7), 7u);
   ::unsetenv("VASIM_TEST_ENV");
 }
 

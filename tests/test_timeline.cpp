@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -217,6 +218,36 @@ TEST(Timeline, JsonAndCsvExportsAreWellFormed) {
   const std::string csv = cs.str();
   EXPECT_EQ(count_substr(csv, "\n"), r.timeline->windows() + 1) << "header + one row per window";
   EXPECT_EQ(csv.rfind("window,cycle_end,committed_end,phase_change,ipc,", 0), 0u);
+}
+
+TEST(Timeline, JsonSeriesValuesRoundTripExactly) {
+  // IPCs of 1/3 and 2/7 need all 17 significant digits to parse back to the
+  // same double.
+  obs::Timeline::Config cfg;
+  cfg.interval = 100;
+  obs::Timeline tl(cfg, nullptr);
+  tl.sample(300, 100);
+  tl.sample(1000, 300);
+  tl.finalize(1000, 300);
+  ASSERT_GE(tl.windows(), 2u);
+  std::ostringstream js;
+  tl.write_json(js, /*include_counters=*/false);
+  const std::string json = js.str();
+  const std::string key = "\"ipc\": [";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const char* p = json.c_str() + at + key.size();
+  for (std::size_t w = 0; w < tl.windows(); ++w) {
+    char* end = nullptr;
+    const double v = std::strtod(p, &end);
+    ASSERT_NE(end, p) << "window " << w;
+    EXPECT_EQ(v, tl.ipc(w)) << "window " << w << " did not round-trip";
+    p = end;
+    if (*p == ',') p += 2;
+  }
+  EXPECT_EQ(*p, ']');
+  EXPECT_EQ(obs::json_number(std::nan("")), "null");
+  EXPECT_EQ(obs::json_number(-HUGE_VAL), "null");
 }
 
 TEST(Timeline, SweepChromeTraceGainsCounterTracks) {
