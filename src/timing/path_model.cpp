@@ -29,7 +29,7 @@ SensitizedPathModel::SensitizedPathModel(const PathModelConfig& cfg, const Volta
   band_high_only_ = std::min(0.5, residual_high / band_yield);
 }
 
-double SensitizedPathModel::path_factor(Pc pc) const {
+double SensitizedPathModel::compute_factor(Pc pc) const {
   const u64 h = hash_combine(hash_combine(cfg_.seed, 0xfac7ULL), pc);
   // Band membership uses a golden-ratio low-discrepancy sequence over the
   // static instruction index (plus a per-workload phase), so the faulty
@@ -60,21 +60,32 @@ double SensitizedPathModel::path_factor(Pc pc) const {
   return 0.30 + 0.585 * v;  // [0.30, 0.885]
 }
 
-OooStage SensitizedPathModel::faulty_stage(Pc pc, FaultClass cls) const {
+PathTerms SensitizedPathModel::compute_terms(Pc pc) const {
+  PathTerms t{};
+  t.factor = compute_factor(pc);
   const u64 h = hash_combine(hash_combine(cfg_.seed, 0x57a9eULL), pc);
   const double u = hash_to_unit(h);
-  if (cls == FaultClass::kMemLike) {
-    // LSQ CAM search is the second hot spot after wakeup/select (Sec. 3.3.4).
-    if (u < 0.55) return OooStage::kIssueSelect;
-    if (u < 0.88) return OooStage::kMemory;
-    if (u < 0.94) return OooStage::kRegRead;
-    return OooStage::kWriteback;
+  // LSQ CAM search is the second hot spot after wakeup/select (Sec. 3.3.4).
+  if (u < 0.55) {
+    t.mem_stage = OooStage::kIssueSelect;
+  } else if (u < 0.88) {
+    t.mem_stage = OooStage::kMemory;
+  } else if (u < 0.94) {
+    t.mem_stage = OooStage::kRegRead;
+  } else {
+    t.mem_stage = OooStage::kWriteback;
   }
   // "Almost all timing errors happen in the wakeup/select stage" (Sec 3.3.1).
-  if (u < 0.70) return OooStage::kIssueSelect;
-  if (u < 0.88) return OooStage::kExecute;
-  if (u < 0.95) return OooStage::kRegRead;
-  return OooStage::kWriteback;
+  if (u < 0.70) {
+    t.alu_stage = OooStage::kIssueSelect;
+  } else if (u < 0.88) {
+    t.alu_stage = OooStage::kExecute;
+  } else if (u < 0.95) {
+    t.alu_stage = OooStage::kRegRead;
+  } else {
+    t.alu_stage = OooStage::kWriteback;
+  }
+  return t;
 }
 
 double SensitizedPathModel::commonality(Pc pc) const {

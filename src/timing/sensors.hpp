@@ -9,6 +9,8 @@
 #ifndef VASIM_TIMING_SENSORS_HPP
 #define VASIM_TIMING_SENSORS_HPP
 
+#include <optional>
+
 #include "src/common/rng.hpp"
 #include "src/common/types.hpp"
 
@@ -26,16 +28,25 @@ struct EnvironmentConfig {
 
 /// Deterministic delay-modulation source: multiplicative factor applied to
 /// every sensitized path delay at a given cycle.
+///
+/// The thermal and total modulation are pure in the cycle and the droop
+/// draw is pure in the droop epoch, so the queries memoize the last cycle's
+/// and the last epoch's values: the fault oracle, the TEP's sensors and the
+/// adaptive-clock epoch sample all read the same cycle and share one
+/// computation.  A memo hit returns the bits a fresh computation would.
+/// Not thread-safe: the const queries fill the memo.
 class Environment {
  public:
-  explicit Environment(const EnvironmentConfig& cfg = {}) : cfg_(cfg) {}
+  /// Throws std::invalid_argument when `thermal_period` or `droop_epoch`
+  /// is zero (both divide the cycle count).
+  explicit Environment(const EnvironmentConfig& cfg = {});
 
   /// Multiplicative delay modulation at `cycle`; mean 1.0, clamped to
   /// [1-clamp, 1+clamp].
-  [[nodiscard]] double modulation(Cycle cycle) const;
+  [[nodiscard]] double modulation(Cycle cycle) const { return at(cycle).modulation; }
 
   /// The thermal component alone (for the thermal sensor).
-  [[nodiscard]] double thermal_component(Cycle cycle) const;
+  [[nodiscard]] double thermal_component(Cycle cycle) const { return at(cycle).thermal; }
 
   /// The droop component alone (for the voltage sensor).
   [[nodiscard]] double droop_component(Cycle cycle) const;
@@ -43,7 +54,22 @@ class Environment {
   [[nodiscard]] const EnvironmentConfig& config() const { return cfg_; }
 
  private:
+  struct CycleTerms {
+    double thermal = 0.0;
+    double modulation = 0.0;
+  };
+  /// The memoized terms of `cycle`, recomputed when the cycle changes.
+  [[nodiscard]] const CycleTerms& at(Cycle cycle) const {
+    if (memo_cycle_ != cycle) fill(cycle);
+    return memo_;
+  }
+  void fill(Cycle cycle) const;
+
   EnvironmentConfig cfg_;
+  mutable std::optional<Cycle> memo_cycle_;
+  mutable CycleTerms memo_;
+  mutable std::optional<u64> droop_epoch_;
+  mutable double droop_ = 0.0;
 };
 
 /// A thresholded sensor over one environment component.  `hot()` reports

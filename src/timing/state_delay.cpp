@@ -25,11 +25,12 @@ double StateDelayModel::factor(Pc pc, u64 state_sig, FaultClass cls) const {
   const int c = static_cast<int>(cls);
   const u64 h = hash_combine(hash_combine(cfg_.seed, state_sig),
                              pc ^ (static_cast<u64>(c) << 56));
-  // Toggle-activity proxy in [0,1): the fraction of the sensitized cone this
-  // operand state toggles.  High activity lengthens the effective path.
-  const double toggle = hash_to_unit(h);
-  const double gauss = hash_to_gaussian(hash_mix(h ^ 0x70991eULL));
-  const double f = mu_[c] + cfg_.toggle_weight * (toggle - 0.5) + sigma_ * gauss;
+  const Draws& d = draws_.get(h, h, [](u64 key) {
+    // Toggle-activity proxy in [0,1): the fraction of the sensitized cone
+    // this operand state toggles.  High activity lengthens the effective path.
+    return Draws{hash_to_unit(key), hash_to_gaussian(hash_mix(key ^ 0x70991eULL))};
+  });
+  const double f = mu_[c] + cfg_.toggle_weight * (d.toggle - 0.5) + sigma_ * d.gauss;
   return std::clamp(f, 1.0 - cfg_.clamp, 1.0 + cfg_.clamp);
 }
 

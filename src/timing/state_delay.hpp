@@ -11,7 +11,9 @@
 // Pcg32 stream seeded from the workload seed and perturbed by the existing
 // ProcessVariation draws; per-instance deviates are stateless hash draws,
 // so the model is deterministic and query-order independent like the rest
-// of the timing stack.
+// of the timing stack.  The per-instance draws are memoized by their hash
+// key, so an instance retried on a busy functional unit reuses its Gaussian
+// instead of redrawing it (a hit returns the bits a fresh draw would).
 //
 // The model is only attached for adaptive-clock runs (src/adapt/); static
 // runs keep the legacy per-PC constant bit-for-bit.
@@ -22,6 +24,7 @@
 
 #include "src/common/rng.hpp"
 #include "src/common/types.hpp"
+#include "src/timing/memo.hpp"
 #include "src/timing/path_model.hpp"
 #include "src/timing/process_variation.hpp"
 
@@ -42,7 +45,8 @@ struct StateDelayConfig {
 };
 
 /// Multiplicative delay factor ~N(mu(cls, toggle), sigma(vdd)) around 1.0,
-/// applied on top of the per-PC path factor.
+/// applied on top of the per-PC path factor.  Not thread-safe: factor()
+/// fills a memo of recent per-instance draws.
 class StateDelayModel {
  public:
   StateDelayModel(const StateDelayConfig& cfg, const ProcessVariation& pv, double vdd);
@@ -57,9 +61,17 @@ class StateDelayModel {
   [[nodiscard]] const StateDelayConfig& config() const { return cfg_; }
 
  private:
+  /// The per-instance draws, pure in the instance's hash key.
+  struct Draws {
+    double toggle;
+    double gauss;
+  };
+
   StateDelayConfig cfg_;
   std::array<double, kNumFaultClasses> mu_{};
   double sigma_ = 0.0;
+  // Small: it only has to hold the instances of the last few cycles.
+  mutable MemoTable<Draws, 8> draws_;
 };
 
 }  // namespace vasim::timing

@@ -2,13 +2,17 @@
 // sensors, the per-PC path model and the fault oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
+#include <vector>
 
 #include "src/common/stats.hpp"
 #include "src/timing/fault_model.hpp"
 #include "src/timing/path_model.hpp"
 #include "src/timing/process_variation.hpp"
 #include "src/timing/sensors.hpp"
+#include "src/timing/state_delay.hpp"
 #include "src/timing/voltage.hpp"
 
 namespace vasim::timing {
@@ -153,6 +157,17 @@ TEST(Environment, SensorsThreshold) {
   EXPECT_NEAR(droopy / static_cast<double>(n), 0.5, 0.1);
 }
 
+TEST(Environment, RejectsZeroPeriods) {
+  EnvironmentConfig no_wave;
+  no_wave.thermal_period = 0;
+  EXPECT_THROW(Environment{no_wave}, std::invalid_argument);
+  EnvironmentConfig no_epoch;
+  no_epoch.droop_epoch = 0;
+  EXPECT_THROW(Environment{no_epoch}, std::invalid_argument);
+  EXPECT_THROW(FaultModel(PathModelConfig{}, 0.97, VoltageModel(), no_epoch),
+               std::invalid_argument);
+}
+
 TEST(PathModel, DeterministicPerPc) {
   const VoltageModel vm;
   PathModelConfig cfg{123, 0.08, 0.02};
@@ -285,6 +300,284 @@ TEST(FaultModel, StageStableAcrossInstances) {
       EXPECT_EQ(fm.query(pc, FaultClass::kAluLike, c).stage, s);
     }
   }
+}
+
+// ---- memoized oracle exactness -------------------------------------------
+//
+// Every memoized term must return the bits of a fresh computation.  The
+// reference is either a cold model (its first query of a key computes it)
+// or, for the whole oracle, a digest pinned from the unmemoized code.
+
+u64 bits(double x) { return std::bit_cast<u64>(x); }
+
+constexpr double kVdd = SupplyPoints::kHighFault;
+constexpr double kInOrderScale = 0.5;
+
+/// A fault model with its state-delay model attached, as adaptive runs wire
+/// them.  Never moved: `fm` points at `sm`.
+struct Oracle {
+  StateDelayModel sm;
+  FaultModel fm;
+  Oracle()
+      : sm(state_cfg(), ProcessVariation(process_cfg()), kVdd),
+        fm(PathModelConfig{2013, 0.08, 0.02}, kVdd) {
+    fm.set_state_model(&sm);
+  }
+  static StateDelayConfig state_cfg() {
+    StateDelayConfig c;
+    c.seed = 2013;
+    return c;
+  }
+  static ProcessConfig process_cfg() {
+    ProcessConfig c;
+    c.seed = 5;
+    return c;
+  }
+};
+
+struct Query {
+  Pc pc = 0;
+  FaultClass cls = FaultClass::kAluLike;
+  Cycle cycle = 0;
+  u64 sig = 0;
+  double period = 1.0;
+};
+
+/// A query stream that stresses every memo: text-segment PCs (the hot
+/// case), PCs sharing one slot of the 2^13-slot per-PC tables, full 64-bit
+/// random PCs, recurring operand signatures, and cycles that repeat, step
+/// forward, cross droop-epoch boundaries and jump backwards.
+std::vector<Query> query_script(int n) {
+  Pcg32 rng(0x5eed);
+  std::vector<Query> out;
+  Cycle cycle = 1000;
+  for (int i = 0; i < n; ++i) {
+    Query q;
+    switch (rng.next_u32() % 4) {
+      case 0:
+      case 1:
+        q.pc = 0x400000 + static_cast<Pc>(rng.next_u32() % 4096) * 4;
+        break;
+      case 2:
+        q.pc = 0x400000 + static_cast<Pc>(rng.next_u32() % 4) * (4ULL << 13);
+        break;
+      default:
+        q.pc = rng.next_u64();
+        break;
+    }
+    q.cls = rng.next_u32() % 3 == 0 ? FaultClass::kMemLike : FaultClass::kAluLike;
+    q.sig = rng.next_u32() % 2 == 0 ? rng.next_u32() % 8 : rng.next_u64();
+    q.period = 0.96 + 0.01 * static_cast<double>(rng.next_u32() % 8);
+    switch (rng.next_u32() % 8) {
+      case 0:
+        cycle -= std::min<Cycle>(cycle, rng.next_u32() % 64);  // backwards
+        break;
+      case 1:
+        cycle = (cycle / 16 + 1) * 16 - (rng.next_u32() % 2);  // epoch edge
+        break;
+      case 2:
+        cycle += rng.next_u32() % 40000;  // across thermal periods
+        break;
+      case 3:
+      case 4:
+        break;  // same cycle again
+      default:
+        cycle += 1;
+        break;
+    }
+    q.cycle = cycle;
+    out.push_back(q);
+  }
+  return out;
+}
+
+bool same(const FaultDecision& a, const FaultDecision& b) {
+  return bits(a.path_factor) == bits(b.path_factor) && a.stage == b.stage &&
+         a.faulty == b.faulty && a.core_faulty == b.core_faulty;
+}
+
+bool same(const InOrderFaultDecision& a, const InOrderFaultDecision& b) {
+  return a.faulty == b.faulty && a.stage == b.stage;
+}
+
+/// FNV-1a over every answer the oracle gives to the query script.
+u64 oracle_digest(const Oracle& o, const std::vector<Query>& script) {
+  u64 h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const Environment& env = o.fm.environment();
+  for (const Query& q : script) {
+    for (const FaultDecision& d :
+         {o.fm.query(q.pc, q.cls, q.cycle),
+          o.fm.query_adaptive(q.pc, q.cls, q.cycle, q.period, q.sig)}) {
+      mix(bits(d.path_factor));
+      mix(static_cast<u64>(d.stage) << 2 | u64{d.faulty} << 1 | u64{d.core_faulty});
+    }
+    for (const InOrderFaultDecision& d :
+         {o.fm.query_inorder(q.pc, q.cycle, kInOrderScale),
+          o.fm.query_inorder_adaptive(q.pc, q.cycle, kInOrderScale, q.period)}) {
+      mix(static_cast<u64>(d.stage) << 1 | u64{d.faulty});
+    }
+    mix(bits(o.sm.factor(q.pc, q.sig, q.cls)));
+    mix(bits(env.thermal_component(q.cycle)));
+    mix(bits(env.droop_component(q.cycle)));
+    mix(bits(env.modulation(q.cycle)));
+  }
+  return h;
+}
+
+TEST(OracleMemo, DigestMatchesUnmemoizedOracle) {
+  // Recorded with the oracle as it was before memoization, which computed
+  // every term afresh on every call.
+  const std::vector<Query> script = query_script(20000);
+  const Oracle o;
+  EXPECT_EQ(oracle_digest(o, script), 0x004eee29fcaf505fULL);
+  // The digest is not vacuous: the script produces faults of every kind.
+  int faulty = 0, adaptive = 0, inorder = 0;
+  for (const Query& q : script) {
+    faulty += o.fm.query(q.pc, q.cls, q.cycle).faulty;
+    adaptive += o.fm.query_adaptive(q.pc, q.cls, q.cycle, q.period, q.sig).faulty;
+    inorder += o.fm.query_inorder(q.pc, q.cycle, kInOrderScale).faulty;
+  }
+  EXPECT_GT(faulty, 100);
+  EXPECT_GT(adaptive, 100);
+  EXPECT_GT(inorder, 10);
+}
+
+TEST(OracleMemo, WarmQueriesMatchColdModels) {
+  const Oracle warm;
+  int mismatches = 0;
+  for (const Query& q : query_script(1500)) {
+    // A fresh model per query kind, so each reference is a table miss.
+    mismatches += !same(warm.fm.query(q.pc, q.cls, q.cycle),
+                        Oracle().fm.query(q.pc, q.cls, q.cycle));
+    mismatches += !same(warm.fm.query_adaptive(q.pc, q.cls, q.cycle, q.period, q.sig),
+                        Oracle().fm.query_adaptive(q.pc, q.cls, q.cycle, q.period, q.sig));
+    mismatches += !same(warm.fm.query_inorder(q.pc, q.cycle, kInOrderScale),
+                        Oracle().fm.query_inorder(q.pc, q.cycle, kInOrderScale));
+    mismatches += !same(warm.fm.query_inorder_adaptive(q.pc, q.cycle, kInOrderScale, q.period),
+                        Oracle().fm.query_inorder_adaptive(q.pc, q.cycle, kInOrderScale, q.period));
+    mismatches += bits(warm.sm.factor(q.pc, q.sig, q.cls)) !=
+                  bits(Oracle().sm.factor(q.pc, q.sig, q.cls));
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(OracleMemo, CollidingPcsStayExact) {
+  // Eight PCs that share one slot of the per-PC tables (four 32 KiB apart,
+  // four differing only above bit 32), visited round-robin so every lookup
+  // evicts the previous owner, then revisited in reverse.
+  const Oracle warm;
+  std::vector<Pc> pcs;
+  for (Pc k = 0; k < 4; ++k) pcs.push_back(0x400040 + k * (4ULL << 13));
+  for (Pc k = 1; k <= 4; ++k) pcs.push_back(0x400040 + (k << 40));
+  int mismatches = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      const Pc pc = pcs[round % 2 == 0 ? i : 7 - i];
+      const Cycle c = static_cast<Cycle>(round * 8 + i);
+      for (FaultClass cls : {FaultClass::kAluLike, FaultClass::kMemLike}) {
+        mismatches += !same(warm.fm.query(pc, cls, c), Oracle().fm.query(pc, cls, c));
+      }
+      mismatches += !same(warm.fm.query_inorder(pc, c, kInOrderScale),
+                          Oracle().fm.query_inorder(pc, c, kInOrderScale));
+      EXPECT_EQ(bits(warm.fm.paths().path_factor(pc)), bits(Oracle().fm.paths().path_factor(pc)));
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(OracleMemo, InOrderKeysDoNotAliasOooEntries) {
+  // An in-order query reads the OoO population at the hashed key
+  // hash_mix(pc ^ 0x1a0cde).  Querying that key as an OoO PC, and the PC
+  // itself in both engines, must leave every answer as a cold model gives it.
+  const Oracle warm;
+  Pcg32 rng(11);
+  int mismatches = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const Pc pc = 0x400000 + static_cast<Pc>(rng.next_u32() % 4096) * 4;
+    const Pc hashed = hash_mix(pc ^ 0x1a0cdeULL);
+    const Cycle c = static_cast<Cycle>(i);
+    mismatches += !same(warm.fm.query(hashed, FaultClass::kAluLike, c),
+                        Oracle().fm.query(hashed, FaultClass::kAluLike, c));
+    mismatches += !same(warm.fm.query_inorder(pc, c, kInOrderScale),
+                        Oracle().fm.query_inorder(pc, c, kInOrderScale));
+    mismatches += !same(warm.fm.query(pc, FaultClass::kMemLike, c),
+                        Oracle().fm.query(pc, FaultClass::kMemLike, c));
+    mismatches += !same(warm.fm.query_inorder_adaptive(hashed, c, kInOrderScale, 0.97),
+                        Oracle().fm.query_inorder_adaptive(hashed, c, kInOrderScale, 0.97));
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(OracleMemo, StateFactorRetriesAndClasses) {
+  // An instance retried on consecutive cycles, and the same PC and operand
+  // signature queried for both fault classes back to back.
+  const Oracle warm;
+  int mismatches = 0;
+  for (Pc pc = 0x400000; pc < 0x400000 + 64 * 4; pc += 4) {
+    for (u64 sig = 0; sig < 4; ++sig) {
+      for (int retry = 0; retry < 3; ++retry) {
+        for (FaultClass cls : {FaultClass::kAluLike, FaultClass::kMemLike}) {
+          mismatches +=
+              bits(warm.sm.factor(pc, sig, cls)) != bits(Oracle().sm.factor(pc, sig, cls));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(OracleMemo, EnvironmentAnyCycleOrder) {
+  // Repeated, backwards and epoch-boundary cycles, read through every
+  // accessor in varying order, against a fresh environment per read.
+  const Environment warm;
+  const std::vector<Cycle> cycles = {0,  0,  15,    16,    16,    15,    31,    32, 1,
+                                     17, 48, 47,    19999, 20000, 20001, 19999, 0,  40000,
+                                     39, 40, 40000, 5,     5,     80015, 80016, 3};
+  int mismatches = 0;
+  for (std::size_t i = 0; i < cycles.size(); ++i) {
+    const Cycle c = cycles[i];
+    const int order = static_cast<int>(i % 3);
+    for (int k = 0; k < 3; ++k) {
+      switch ((order + k) % 3) {
+        case 0:
+          mismatches += bits(warm.modulation(c)) != bits(Environment().modulation(c));
+          break;
+        case 1:
+          mismatches += bits(warm.thermal_component(c)) != bits(Environment().thermal_component(c));
+          break;
+        default:
+          mismatches += bits(warm.droop_component(c)) != bits(Environment().droop_component(c));
+          break;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(OracleMemo, ColdWarmAndCopiedModelsAgree) {
+  // A model warmed by the whole script, a copy of it (copies start with
+  // empty tables) and a cold model digest the script identically.
+  const std::vector<Query> script = query_script(5000);
+  const Oracle warm;
+  const u64 first = oracle_digest(warm, script);
+  EXPECT_EQ(oracle_digest(warm, script), first);
+  const Oracle cold;
+  EXPECT_EQ(oracle_digest(cold, script), first);
+  const FaultModel copy = warm.fm;  // shares warm's state model
+  int mismatches = 0;
+  for (const Query& q : script) {
+    mismatches += !same(copy.query_adaptive(q.pc, q.cls, q.cycle, q.period, q.sig),
+                        warm.fm.query_adaptive(q.pc, q.cls, q.cycle, q.period, q.sig));
+    mismatches += !same(copy.query_inorder(q.pc, q.cycle, kInOrderScale),
+                        warm.fm.query_inorder(q.pc, q.cycle, kInOrderScale));
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace
