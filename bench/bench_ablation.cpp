@@ -17,8 +17,7 @@ int main() {
   core::RunnerConfig rc = bench::runner_config_from_env();
   rc.instructions = env_u64("VASIM_INSTR", 100'000);
   const core::SweepRunner sweeper(rc);
-  bench::print_run_header("Ablations: CT sweep, TEP geometry, recovery model, sensor gating",
-                          rc, sweeper.workers());
+  bench::print_run_header("Ablations: CT sweep, TEP geometry, recovery model, sensor gating", rc);
   const auto libq = workload::spec2006_profile("libquantum");
   const auto bzip2 = workload::spec2006_profile("bzip2");
   const auto gcc = workload::spec2006_profile("gcc");
@@ -151,7 +150,7 @@ int main() {
       const double oep = core::overhead_vs(ff, ep).perf_pct;
       const double oabs = core::overhead_vs(ff, abs).perf_pct;
       t.add_row({std::to_string(width), TextTable::fmt(oep, 2), TextTable::fmt(oabs, 2),
-                 TextTable::fmt(bench::normalized_to_ep(oabs, oep), 3)});
+                 TextTable::fmt(core::normalized_to_ep(oabs, oep), 3)});
     }
     std::cout << t.render("Ablation 5: machine width (bzip2 @0.97V)") << "\n";
   }

@@ -26,8 +26,7 @@ int main() {
   rc.instructions = env_u64("VASIM_INSTR", 30'000);
   rc.warmup = env_u64("VASIM_WARMUP", 10'000);
   const core::SweepRunner sweeper(rc);
-  bench::print_run_header("Adaptive clocking: DVFS policies vs the static supply frontier", rc,
-                          sweeper.workers());
+  bench::print_run_header("Adaptive clocking: DVFS policies vs the static supply frontier", rc);
 
   const char* benchmarks[] = {"bzip2", "sjeng"};
   const char* schemes[] = {"abs", "ep"};

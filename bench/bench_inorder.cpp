@@ -51,8 +51,7 @@ int main() {
   core::RunnerConfig rc = bench::runner_config_from_env();
   rc.instructions = env_u64("VASIM_INSTR", 100'000);
   const core::SweepRunner sweeper(rc);
-  bench::print_run_header("In-order vs OoO: who can hide a predicted fault's extra cycle?",
-                          rc, sweeper.workers());
+  bench::print_run_header("In-order vs OoO: who can hide a predicted fault's extra cycle?", rc);
 
   // The OoO half of every row is a sweep job; the scalar in-order pipeline
   // has no ExperimentRunner wrapper and stays inline.

@@ -11,8 +11,7 @@ int main() {
   core::RunnerConfig rc = bench::runner_config_from_env();
   rc.instructions = env_u64("VASIM_INSTR", 100'000);
   const core::SweepRunner sweeper(rc);
-  bench::print_run_header("Predictor study: TEP vs MRE [13] vs TVP [12] (ABS @ 0.97 V)", rc,
-                          sweeper.workers());
+  bench::print_run_header("Predictor study: TEP vs MRE [13] vs TVP [12] (ABS @ 0.97 V)", rc);
 
   const struct {
     const char* name;

@@ -1,9 +1,10 @@
-// Shared helpers for the table/figure reproduction benches.
+// Shared helpers for the reproduction benches.
 //
 // Run length is controlled by environment variables so CI can shrink and
 // archival runs can grow the experiments:
-//   VASIM_INSTR   measured committed instructions per run (default 150000)
-//   VASIM_WARMUP  warmup instructions per run              (default 150000)
+//   VASIM_INSTR   measured committed instructions per run (default
+//                 core::RunnerConfig{}, 200000)
+//   VASIM_WARMUP  warmup instructions per run (default 150000, likewise)
 //   VASIM_JOBS    sweep worker threads (default hardware threads; 1 = the
 //                 historical sequential behaviour)
 //   VASIM_JSON    set to 0 to suppress BENCH_<name>.json result files
@@ -11,11 +12,12 @@
 // All grid execution routes through core::SweepRunner: the benches enqueue
 // (benchmark, scheme, VDD) jobs and read back submission-ordered, bitwise
 // deterministic results, so tables are identical at any worker count.
+// bench_paper renders the paper grid (core::paper_grid) as Table 1 and
+// Figures 4/5/8/9; the other benches run their own smaller grids.
 #ifndef VASIM_BENCH_BENCH_UTIL_HPP
 #define VASIM_BENCH_BENCH_UTIL_HPP
 
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -29,96 +31,27 @@ namespace vasim::bench {
 
 inline core::RunnerConfig runner_config_from_env() {
   core::RunnerConfig rc;
-  rc.instructions = env_u64("VASIM_INSTR", 150'000);
-  rc.warmup = env_u64("VASIM_WARMUP", 150'000);
+  rc.instructions = env_u64("VASIM_INSTR", rc.instructions);
+  rc.warmup = env_u64("VASIM_WARMUP", rc.warmup);
   return rc;
 }
 
-/// All scheme results for one benchmark at one supply.
-struct SupplyResults {
-  core::RunResult fault_free;
-  std::map<std::string, core::RunResult> schemes;  // razor/ep/abs/ffs/cds
-};
-
-/// Jobs for one profile: the fault-free baseline then every comparative
-/// scheme, in presentation order.
-inline void push_all_scheme_jobs(std::vector<core::SweepJob>& jobs,
-                                 const workload::BenchmarkProfile& prof, double vdd) {
-  jobs.push_back({prof, std::nullopt, vdd, std::nullopt});
-  for (const auto& scheme : core::comparative_schemes()) {
-    jobs.push_back({prof, scheme, vdd, std::nullopt});
-  }
-}
-
-/// Unpacks one profile's slice of a push_all_scheme_jobs grid.
-inline SupplyResults unpack_all_schemes(const std::vector<core::SweepOutcome>& outcomes,
-                                        std::size_t offset) {
-  SupplyResults out;
-  out.fault_free = outcomes.at(offset).result;
-  const auto& schemes = core::comparative_schemes();
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    const core::RunResult& r = outcomes.at(offset + 1 + s).result;
-    out.schemes.emplace(r.scheme, r);
-  }
-  return out;
-}
-
-/// Fault-free + all comparative schemes for one benchmark at one supply,
-/// fanned out over the sweep pool.
-inline SupplyResults run_all_schemes(const core::SweepRunner& sweeper,
-                                     const workload::BenchmarkProfile& prof, double vdd) {
-  std::vector<core::SweepJob> jobs;
-  push_all_scheme_jobs(jobs, prof, vdd);
-  return unpack_all_schemes(sweeper.run(jobs).jobs, 0);
-}
-
-/// The full (profiles x (fault-free + schemes)) grid at one supply in a
-/// single sweep; per-profile results in input order.  When `report` is
-/// non-null the raw sweep (wall times included) is copied out for JSON
-/// emission.
-inline std::vector<SupplyResults> run_grid(const core::SweepRunner& sweeper,
-                                           const std::vector<workload::BenchmarkProfile>& profs,
-                                           double vdd, core::SweepReport* report = nullptr) {
-  std::vector<core::SweepJob> jobs;
-  jobs.reserve(profs.size() * (1 + core::comparative_schemes().size()));
-  for (const auto& prof : profs) push_all_scheme_jobs(jobs, prof, vdd);
-  core::SweepReport rep = sweeper.run(jobs);
-  const std::size_t per_prof = 1 + core::comparative_schemes().size();
-  std::vector<SupplyResults> out;
-  out.reserve(profs.size());
-  for (std::size_t p = 0; p < profs.size(); ++p) {
-    out.push_back(unpack_all_schemes(rep.jobs, p * per_prof));
-  }
-  if (report != nullptr) *report = std::move(rep);
-  return out;
-}
-
-/// Overhead of one scheme relative to fault-free execution.
-inline core::Overheads scheme_overhead(const SupplyResults& r, const std::string& scheme) {
-  return core::overhead_vs(r.fault_free, r.schemes.at(scheme));
-}
-
-/// Ratio of a scheme's overhead to EP's overhead (the normalization of
-/// Figures 4/5/8/9); clamped at zero when the scheme beats fault-free
-/// execution outright (scheduling-slack artifact, see EXPERIMENTS.md).
-inline double normalized_to_ep(double scheme_pct, double ep_pct) {
-  if (ep_pct <= 0.0) return 0.0;
-  return std::max(0.0, scheme_pct) / ep_pct;
-}
-
-inline void print_run_header(const std::string& what, const core::RunnerConfig& rc,
-                             std::size_t workers = core::sweep_workers_from_env()) {
+/// Prints the bench title and run lengths on stdout.  The worker count and
+/// wall time are host-dependent, so emit_json notes them on stderr instead:
+/// stdout is identical on any host and at any VASIM_JOBS.
+inline void print_run_header(const std::string& what, const core::RunnerConfig& rc) {
   std::cout << "=== " << what << " ===\n"
             << "(vasim reproduction; " << rc.instructions << " measured instructions after "
-            << rc.warmup << " warmup per run; " << workers
-            << " sweep worker(s); override with VASIM_INSTR / VASIM_WARMUP / VASIM_JOBS)\n\n";
+            << rc.warmup << " warmup per run; override with VASIM_INSTR / VASIM_WARMUP / "
+            << "VASIM_JOBS)\n\n";
 }
 
-/// Writes BENCH_<name>.json (unless VASIM_JSON=0) and notes the path.
+/// Writes BENCH_<name>.json (unless VASIM_JSON=0) and notes the path, job
+/// count, wall time and worker count on stderr.
 inline void emit_json(const std::string& name, const core::SweepReport& report) {
   const std::string path = core::emit_sweep_json(name, report);
   if (!path.empty()) {
-    std::cout << "[" << path << ": " << report.jobs.size() << " jobs, "
+    std::cerr << "[" << path << ": " << report.jobs.size() << " jobs, "
               << TextTable::fmt(report.wall_ms, 0) << " ms on " << report.workers
               << " worker(s)]\n";
   }

@@ -13,8 +13,7 @@ int main() {
   core::RunnerConfig rc = bench::runner_config_from_env();
   rc.instructions = env_u64("VASIM_INSTR", 100'000);
   const core::SweepRunner sweeper(rc);
-  bench::print_run_header("Voltage sweep: undervolting headroom per scheme (bzip2)", rc,
-                          sweeper.workers());
+  bench::print_run_header("Voltage sweep: undervolting headroom per scheme (bzip2)", rc);
 
   const auto prof = workload::spec2006_profile("bzip2");
   const double vdds[] = {1.10, 1.07, 1.04, 1.00, 0.97};

@@ -1,5 +1,6 @@
 #include "src/core/runner.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -108,6 +109,11 @@ Overheads overhead_vs(const RunResult& base, const RunResult& x) {
   if (base.ipc > 0.0 && x.ipc > 0.0) o.perf_pct = (base.ipc / x.ipc - 1.0) * 100.0;
   if (base.energy.edp > 0.0) o.ed_pct = (x.energy.edp / base.energy.edp - 1.0) * 100.0;
   return o;
+}
+
+double normalized_to_ep(double scheme_pct, double ep_pct) {
+  if (ep_pct <= 0.0) return 0.0;
+  return std::max(0.0, scheme_pct) / ep_pct;
 }
 
 RunResult ExperimentRunner::run(const workload::BenchmarkProfile& profile,

@@ -82,6 +82,12 @@ struct Overheads {
 /// Overhead of `x` relative to `base` (same workload and instruction count).
 Overheads overhead_vs(const RunResult& base, const RunResult& x);
 
+/// A scheme's overhead as a share of Error Padding's (the normalization of
+/// Figures 4/5/8/9).  A negative scheme overhead clamps to 0 (the scheme
+/// beat fault-free execution outright, a scheduling-slack artifact; see
+/// EXPERIMENTS.md), and an EP overhead <= 0 gives 0.
+double normalized_to_ep(double scheme_pct, double ep_pct);
+
 /// Which fault predictor drives the prediction-based schemes.
 enum class PredictorKind {
   kTep,  ///< the paper's combined design (Section 2.1.1)

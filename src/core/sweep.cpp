@@ -80,6 +80,20 @@ void fnv_result(u64& h, const RunResult& r) {
 
 }  // namespace
 
+std::vector<SweepJob> paper_grid(const std::vector<workload::BenchmarkProfile>& profiles) {
+  std::vector<SweepJob> jobs;
+  jobs.reserve(profiles.size() * kPaperSupplies.size() * (1 + comparative_schemes().size()));
+  for (const auto& prof : profiles) {
+    for (const double vdd : kPaperSupplies) {
+      jobs.push_back({prof, std::nullopt, vdd, std::nullopt});
+      for (const auto& scheme : comparative_schemes()) {
+        jobs.push_back({prof, scheme, vdd, std::nullopt});
+      }
+    }
+  }
+  return jobs;
+}
+
 std::size_t sweep_workers_from_env() { return ThreadPool::default_worker_count(); }
 
 SweepReport SweepRunner::run(const std::vector<SweepJob>& jobs) const {

@@ -14,6 +14,7 @@
 #ifndef VASIM_CORE_SWEEP_HPP
 #define VASIM_CORE_SWEEP_HPP
 
+#include <array>
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
@@ -34,6 +35,18 @@ struct SweepJob {
   double vdd = timing::SupplyPoints::kNominal;
   std::optional<RunnerConfig> config;
 };
+
+/// The supplies of the paper's faulty-execution grid, in submission order:
+/// the low fault rate (1.04 V), then the high fault rate (0.97 V).
+inline constexpr std::array<double, 2> kPaperSupplies = {timing::SupplyPoints::kLowFault,
+                                                         timing::SupplyPoints::kHighFault};
+
+/// The paper's evaluation grid (Section 5): profile-major, then each of
+/// kPaperSupplies, then the fault-free baseline followed by
+/// comparative_schemes().  `vasim sweep` and bench_paper both submit this
+/// list, so equal run lengths give equal sweep checksums.
+[[nodiscard]] std::vector<SweepJob> paper_grid(
+    const std::vector<workload::BenchmarkProfile>& profiles);
 
 /// One finished job: the simulation outcome plus its wall-clock cost and
 /// scheduling info (start offset from sweep t0 and the pool worker that ran

@@ -1,12 +1,11 @@
 // Tests for the dynamic gate-level analyses (sensitized-path delay, timed
-// simulation, measured power), the Verilog export, and the extra builders
-// (array multiplier, LSQ CAM).
+// simulation, measured power) and the extra builders (array multiplier, LSQ
+// CAM).
 #include <gtest/gtest.h>
 
 #include "src/circuit/dynamic.hpp"
 #include "src/circuit/gatesim.hpp"
 #include "src/circuit/sta.hpp"
-#include "src/circuit/verilog.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 
@@ -216,41 +215,6 @@ TEST(LsqCam, NoMatchNoAny) {
   for (int i = 0; i < 6; ++i) in.push_back(1);  // all valid, all older
   sim.evaluate(in);
   EXPECT_FALSE(sim.value(cam.outputs.back()));
-}
-
-// ---- Verilog export ----------------------------------------------------------
-
-TEST(Verilog, StructureAndGolden) {
-  Netlist n;
-  const SigId a = n.add_input();
-  const SigId b = n.add_input();
-  const SigId x = n.xor2(a, b);
-  n.mark_output(x);
-  Component c;
-  c.name = "toy";
-  c.netlist = std::move(n);
-  c.outputs = {x};
-  const std::string v = to_verilog(c, "toy");
-  EXPECT_NE(v.find("module toy ("), std::string::npos);
-  EXPECT_NE(v.find("input  wire [1:0] in"), std::string::npos);
-  EXPECT_NE(v.find("output wire [0:0] out"), std::string::npos);
-  EXPECT_NE(v.find("assign n2 = in[0] ^ in[1];"), std::string::npos);
-  EXPECT_NE(v.find("assign out[0] = n2;"), std::string::npos);
-  EXPECT_NE(v.find("endmodule"), std::string::npos);
-}
-
-TEST(Verilog, CoversEveryGateKindUsed) {
-  const Component alu = build_simple_alu(8);
-  const std::string v = to_verilog(alu, "alu8");
-  // One assign per non-input signal plus one per output.
-  std::size_t assigns = 0;
-  for (std::size_t pos = v.find("assign"); pos != std::string::npos;
-       pos = v.find("assign", pos + 1)) {
-    ++assigns;
-  }
-  EXPECT_EQ(assigns, static_cast<std::size_t>(alu.netlist.num_signals() -
-                                              alu.netlist.num_inputs()) +
-                         alu.outputs.size());
 }
 
 }  // namespace

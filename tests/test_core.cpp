@@ -160,6 +160,37 @@ TEST(Runner, OverheadMath) {
   EXPECT_NEAR(o.ed_pct, 25.0, 1e-9);
 }
 
+TEST(Runner, NormalizedToEpClampsAndDivides) {
+  // A scheme that beats fault-free execution clamps to 0, not below.
+  EXPECT_EQ(normalized_to_ep(-1.5, 4.0), 0.0);
+  // No EP overhead to share: 0 whatever the scheme did.
+  EXPECT_EQ(normalized_to_ep(2.0, 0.0), 0.0);
+  EXPECT_EQ(normalized_to_ep(2.0, -3.0), 0.0);
+  // Otherwise a plain ratio.
+  EXPECT_DOUBLE_EQ(normalized_to_ep(1.0, 4.0), 0.25);
+}
+
+TEST(Runner, FaultFreeExecutionIsSupplyIndependent) {
+  // A fault-free run has no fault model, so the supply moves only its
+  // energy line; Table 1 reads its IPC column from the 1.04 V run.
+  RunnerConfig rc;
+  rc.instructions = 3000;
+  rc.warmup = 1000;
+  const ExperimentRunner runner(rc);
+  const auto prof = workload::spec2006_profile("astar");
+  const RunResult ref = runner.run_fault_free(prof, timing::SupplyPoints::kLowFault);
+  for (const double vdd : {timing::SupplyPoints::kNominal, timing::SupplyPoints::kHighFault}) {
+    const RunResult r = runner.run_fault_free(prof, vdd);
+    EXPECT_EQ(r.committed, ref.committed) << vdd;
+    EXPECT_EQ(r.cycles, ref.cycles) << vdd;
+    EXPECT_EQ(r.ipc, ref.ipc) << vdd;
+    EXPECT_EQ(r.cpi.slots, ref.cpi.slots) << vdd;
+    EXPECT_EQ(r.stats.counters(), ref.stats.counters()) << vdd;
+    EXPECT_EQ(r.stats.scalars(), ref.stats.scalars()) << vdd;
+    EXPECT_NE(r.energy.edp, ref.energy.edp) << vdd;
+  }
+}
+
 TEST(Runner, ComparativeSchemesOrder) {
   const auto schemes = comparative_schemes();
   ASSERT_EQ(schemes.size(), 5u);

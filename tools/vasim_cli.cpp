@@ -184,8 +184,8 @@ int cmd_list() {
 
 core::RunnerConfig runner_config(const Args& args) {
   core::RunnerConfig rc;
-  rc.instructions = opt_u64(args, "instr", 150000);
-  rc.warmup = opt_u64(args, "warmup", 150000);
+  rc.instructions = opt_u64(args, "instr", rc.instructions);
+  rc.warmup = opt_u64(args, "warmup", rc.warmup);
   const std::string pred = args.get("predictor", "tep");
   if (pred == "mre") {
     rc.predictor = core::PredictorKind::kMre;
@@ -524,23 +524,12 @@ int cmd_sweep(const Args& args) {
 
   // (fault-free + every scheme) x both faulty supplies per profile, one
   // thread-pooled grid; results come back in submission order.
-  const double vdds[] = {timing::SupplyPoints::kLowFault, timing::SupplyPoints::kHighFault};
-  std::vector<core::SweepJob> jobs;
-  for (const auto& prof : profiles) {
-    for (const double vdd : vdds) {
-      jobs.push_back({prof, std::nullopt, vdd, std::nullopt});
-      for (const auto& scheme : core::comparative_schemes()) {
-        jobs.push_back({prof, scheme, vdd, std::nullopt});
-      }
-    }
-  }
-
-  const core::SweepReport report = sweeper.run(jobs);
+  const core::SweepReport report = sweeper.run(core::paper_grid(profiles));
 
   const int commit_width = sweeper.config().core.commit_width;
   std::size_t at = 0;
   for (const auto& prof : profiles) {
-    for (const double vdd : vdds) {
+    for (const double vdd : core::kPaperSupplies) {
       const std::size_t base_at = at;
       const core::RunResult& base = report.jobs[at++].result;
       TextTable t({"scheme", "IPC", "FR%", "replays", "perf-ovh%", "ED-ovh%"});
