@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
 
   for (const double vdd :
        {timing::SupplyPoints::kLowFault, timing::SupplyPoints::kHighFault}) {
-    const core::RunResult base = runner.run_fault_free(profile, vdd);
+    const core::RunResult base = runner.run(profile, std::nullopt, vdd);
     TextTable t({"scheme", "IPC", "FR%", "replays", "TEP-acc", "perf-ovh%", "ED-ovh%"});
     t.add_row({"fault-free", TextTable::fmt(base.ipc), "-", "-", "-", "0.000", "0.000"});
     for (const auto& scheme : core::comparative_schemes()) {

@@ -20,7 +20,7 @@ const snap::Chunk& require_v1(const snap::Snapshot& c, u32 tag) {
 
 JobContext::JobContext(const RunnerConfig& cfg, const workload::BenchmarkProfile& profile,
                        const std::optional<cpu::SchemeConfig>& scheme_opt, double vdd)
-    : gen(profile) {
+    : gen(profile), vdd(vdd) {
   fault_free = !scheme_opt.has_value();
   scheme = fault_free ? cpu::scheme_fault_free() : *scheme_opt;
   if (!fault_free) {
@@ -78,9 +78,7 @@ JobContext::JobContext(const RunnerConfig& cfg, const workload::BenchmarkProfile
 }
 
 RunSnapshot make_snapshot(const RunnerConfig& cfg, const JobContext& ctx,
-                          const workload::BenchmarkProfile& profile, double vdd,
-                          const StatSet& base, u64 base_committed, Cycle base_cycles,
-                          bool base_captured) {
+                          const MeasurementBase& base) {
   if (ctx.checker && !ctx.checker->ok()) {
     throw std::runtime_error("snapshot capture refused, semantics checker failed:\n" +
                              ctx.checker->report());
@@ -88,9 +86,9 @@ RunSnapshot make_snapshot(const RunnerConfig& cfg, const JobContext& ctx,
   RunSnapshot s;
   RunMeta m;
   m.fault_free = ctx.fault_free;
-  m.profile = profile;
+  m.profile = ctx.gen.profile();
   if (!ctx.fault_free) m.scheme = ctx.scheme;
-  m.vdd = vdd;
+  m.vdd = ctx.vdd;
   m.instructions = cfg.instructions;
   m.warmup = cfg.warmup;
   m.core = cfg.core;
@@ -101,15 +99,15 @@ RunSnapshot make_snapshot(const RunnerConfig& cfg, const JobContext& ctx,
   m.dvfs = cfg.dvfs;
   m.captured_committed = ctx.pipe->committed();
   m.captured_cycle = ctx.pipe->now();
-  m.base_captured = base_captured;
-  if (base_captured) {
-    m.base = base;
-    m.base_committed = base_committed;
-    m.base_cycles = base_cycles;
+  m.base_captured = base.captured;
+  if (base.captured) {
+    m.base = base.stats;
+    m.base_committed = base.committed;
+    m.base_cycles = base.cycles;
   }
   m.warmup_key = warmup_key(
-      cfg, profile,
-      ctx.fault_free ? std::optional<cpu::SchemeConfig>{} : std::optional(ctx.scheme), vdd);
+      cfg, m.profile,
+      ctx.fault_free ? std::optional<cpu::SchemeConfig>{} : std::optional(ctx.scheme), m.vdd);
 
   snap::Writer meta_w;
   put_run_meta(meta_w, m);
@@ -199,13 +197,12 @@ void restore_into(JobContext& ctx, const RunSnapshot& s) {
   }
 }
 
-RunResult assemble_result(const RunnerConfig& cfg, JobContext& ctx,
-                          const workload::BenchmarkProfile& profile, double vdd,
+RunResult assemble_result(const RunnerConfig& cfg, JobContext& ctx, double vdd,
                           cpu::PipelineResult&& pr) {
   if (ctx.checker && !ctx.checker->ok()) throw std::runtime_error(ctx.checker->report());
 
   RunResult r;
-  r.benchmark = profile.name;
+  r.benchmark = ctx.gen.profile().name;
   r.scheme = ctx.fault_free ? "fault-free" : ctx.scheme.name;
   r.commit_trail = std::move(ctx.trail);
   r.checker_checks = ctx.checker ? ctx.checker->checks() : 0;

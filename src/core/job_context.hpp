@@ -3,9 +3,9 @@
 //
 // A JobContext owns everything one simulation needs -- trace generator,
 // fault model, predictors, pipeline, optional semantics checker and commit
-// trail -- wired exactly as the historical run()/run_fault_free bodies did,
-// and keeps construction, snapshot capture/restore and result assembly in
-// one place.
+// trail -- and keeps construction, snapshot capture/restore and result
+// assembly in one place.  runner.cpp's drive() is the one loop that steps
+// it.
 //
 // This header is an implementation detail of vasim_core (namespace
 // core::detail); it is not part of the public experiment API.
@@ -48,12 +48,12 @@ class CommitTrailObserver final : public cpu::PipelineObserver {
   Cycle now_ = 0;
 };
 
-/// Everything one simulation owns, constructed in place exactly as the
-/// historical run()/run_fault_free bodies did.  Never moved: the pipeline
-/// holds pointers into gen/fm/predictor.  `scheme_opt == nullopt` selects
-/// the fault-free-baseline wiring (no fault model, no predictors).
+/// Everything one simulation owns, constructed in place.  Never moved: the
+/// pipeline holds pointers into gen/fm/predictor.  `scheme_opt == nullopt`
+/// selects the fault-free-baseline wiring (no fault model, no predictors).
 struct JobContext {
-  workload::TraceGenerator gen;
+  workload::TraceGenerator gen;  ///< also holds the job's profile
+  double vdd;                    ///< the supply the job executes at
   std::optional<timing::FaultModel> fm;
   /// State-dependent delay model + adaptive clock domain; engaged only when
   /// RunnerConfig::dvfs names an adaptive policy and the job has a scheme
@@ -83,22 +83,29 @@ struct JobContext {
   JobContext& operator=(const JobContext&) = delete;
 };
 
+/// Where the measured window starts: the statistics, commit count and
+/// cycle at the warmup boundary.
+struct MeasurementBase {
+  StatSet stats;
+  u64 committed = 0;
+  Cycle cycles = 0;
+  bool captured = false;  ///< false until the run passes the warmup boundary
+};
+
 /// Assembles the full snapshot container from a job paused at a cycle
 /// boundary.  Refuses to serialize a run whose checker already failed.
 RunSnapshot make_snapshot(const RunnerConfig& cfg, const JobContext& ctx,
-                          const workload::BenchmarkProfile& profile, double vdd,
-                          const StatSet& base, u64 base_committed, Cycle base_cycles,
-                          bool base_captured);
+                          const MeasurementBase& base);
 
 /// Restores every chunk into a freshly constructed JobContext.  Chunks with
 /// unknown tags are ignored (forward compatibility); required chunks with a
 /// newer version, or any payload/geometry mismatch, throw.
 void restore_into(JobContext& ctx, const RunSnapshot& s);
 
-/// Computes the RunResult from a finished pipeline window.  Throws (with the
-/// checker's report) when the semantics checker observed a violation.
-RunResult assemble_result(const RunnerConfig& cfg, JobContext& ctx,
-                          const workload::BenchmarkProfile& profile, double vdd,
+/// Computes the RunResult, reported at supply `vdd`, from a finished
+/// pipeline window.  Throws (with the checker's report) when the semantics
+/// checker observed a violation.
+RunResult assemble_result(const RunnerConfig& cfg, JobContext& ctx, double vdd,
                           cpu::PipelineResult&& pr);
 
 }  // namespace vasim::core::detail

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "src/core/job_context.hpp"
@@ -13,93 +12,96 @@ namespace vasim::core {
 namespace {
 
 using detail::JobContext;
+using detail::MeasurementBase;
 
-/// Optional mid-run snapshot request for drive_run.
-struct CaptureSpec {
-  u64 at = 0;
-  bool stop_after = false;  ///< abandon the run once captured (warmup-only)
-  bool done = false;
-  RunSnapshot snapshot;
+/// What drive() leaves behind: the measurement base it read and, when a
+/// capture was requested, the snapshot it stopped at.
+struct Driven {
+  MeasurementBase base;
+  std::optional<RunSnapshot> captured;
 };
 
-/// The run loop, phase-structured exactly like Pipeline::run (same commit
-/// limits at the same boundaries), with snapshot checks between cycles.
-/// Capture points quantize to the first cycle boundary at or past the
-/// requested commit count, which is why continuation is bit-identical.
-void drive_run(const RunnerConfig& cfg, JobContext& ctx,
-               const workload::BenchmarkProfile& profile, double vdd, CaptureSpec* cap,
-               StatSet& base, u64& base_committed, Cycle& base_cycles) {
+/// The one run loop behind every entry point.  It starts cold, or from
+/// `start` restored into `ctx`, and steps through warmup and then the
+/// measured window, with the same commit limits at the same boundaries as
+/// Pipeline::run.  At every cycle boundary it writes the due
+/// RunnerConfig::snapshot_interval files.  When `capture_at` is set it stops
+/// at the first boundary with at least that many commits and returns the
+/// snapshot taken there; a point at or past the end resolves to the final
+/// state.  Capture points quantize to cycle boundaries, which is why
+/// continuing from one is bit-identical to never having paused.
+Driven drive(const RunnerConfig& cfg, JobContext& ctx, const RunSnapshot* start,
+             std::optional<u64> capture_at) {
   cpu::Pipeline& pipe = *ctx.pipe;
-  bool base_captured = false;
-  u64 next_periodic = cfg.snapshot_interval;
+  Driven d;
+  if (start != nullptr) {
+    detail::restore_into(ctx, *start);
+    const RunMeta& m = start->meta();
+    d.base = {m.base, m.base_committed, m.base_cycles, m.base_captured};
+  }
+  // A resumed run writes the periodic files due after its fork point.
+  const u64 interval = cfg.snapshot_interval;
+  u64 next_periodic = interval == 0 ? 0 : (pipe.committed() / interval + 1) * interval;
   std::optional<ProgressMeter> meter;
   if (cfg.progress) meter.emplace("run", cfg.warmup + cfg.instructions, "commits");
   u64 progress_tick = 0;
 
-  // Returns false when the driver should stop (warmup-only capture done).
+  // Returns false once the requested capture is taken: the run stops there.
   const auto boundary = [&]() -> bool {
     // The meter rate-limits its own printing; the tick mask just keeps the
     // steady-clock read off most cycles.
     if (meter && (++progress_tick & 0x1FFF) == 0) meter->update(pipe.committed());
-    if (cap != nullptr && !cap->done && pipe.committed() >= cap->at) {
-      cap->snapshot = detail::make_snapshot(cfg, ctx, profile, vdd, base, base_committed,
-                                            base_cycles, base_captured);
-      cap->done = true;
-      if (cap->stop_after) return false;
+    if (capture_at && pipe.committed() >= *capture_at) {
+      d.captured = detail::make_snapshot(cfg, ctx, d.base);
+      return false;
     }
-    if (cfg.snapshot_interval > 0) {
-      while (pipe.committed() >= next_periodic) {
-        detail::make_snapshot(cfg, ctx, profile, vdd, base, base_committed, base_cycles,
-                              base_captured)
-            .write_file(cfg.snapshot_path + std::to_string(pipe.committed()) + ".vsnap");
-        next_periodic += cfg.snapshot_interval;
-      }
+    while (interval > 0 && pipe.committed() >= next_periodic) {
+      detail::make_snapshot(cfg, ctx, d.base)
+          .write_file(cfg.snapshot_path + std::to_string(pipe.committed()) + ".vsnap");
+      next_periodic += interval;
+    }
+    return true;
+  };
+  const auto run_to = [&](u64 limit) -> bool {
+    pipe.set_commit_limit(limit);
+    while (pipe.committed() < limit) {
+      if (!boundary()) return false;
+      if (!pipe.step()) break;
     }
     return true;
   };
 
-  if (cfg.warmup > 0) {
-    pipe.set_commit_limit(cfg.warmup);
-    while (pipe.committed() < cfg.warmup) {
-      if (!boundary()) return;
-      if (!pipe.step()) break;
-    }
-    // A capture at exactly the warmup boundary lands here, *before* the
-    // base is read: the resuming side re-derives the identical base from
-    // the restored state, so the snapshot stays measurement-agnostic.
-    if (!boundary()) return;
-    base = pipe.snapshot_stats();
-    base_committed = pipe.committed();
-    base_cycles = pipe.now();
-    base_captured = true;
-    // Cut the timeline exactly at the measurement base so the measured
-    // windows sum to the measured StatSet, counter for counter.
-    if (ctx.timeline) ctx.timeline->mark_measurement(pipe.now(), pipe.committed());
+  if (!d.base.captured && cfg.warmup > 0) {
+    // A capture at exactly the warmup boundary lands in the second
+    // boundary() call, *before* the base is read: the resuming side
+    // re-derives the identical base from the restored state, so the
+    // snapshot stays measurement-agnostic.
+    if (!run_to(cfg.warmup) || !boundary()) return d;
+    d.base = {pipe.snapshot_stats(), pipe.committed(), pipe.now(), true};
   }
-
-  const u64 target = cfg.warmup + cfg.instructions;
-  pipe.set_commit_limit(target);
-  while (pipe.committed() < target) {
-    if (!boundary()) return;
-    if (!pipe.step()) break;
+  // Cut the timeline exactly at the measurement base so the measured
+  // windows sum to the measured StatSet, counter for counter.  A resumed
+  // timeline begins at the fork point (restore_into rebaselined it); the
+  // cut separates any residual warmup windows.
+  if (ctx.timeline && (cfg.warmup > 0 || start != nullptr)) {
+    ctx.timeline->mark_measurement(pipe.now(), pipe.committed());
   }
-  // Capture points at or past the end resolve to the final state: the run
-  // cannot commit past `target` (and may fall short if the source drained),
-  // so a still-pending request fires here unconditionally.
-  if (cap != nullptr && !cap->done) cap->at = pipe.committed();
+  if (!run_to(cfg.warmup + cfg.instructions)) return d;
+  // The run cannot commit past its target (and may fall short if the source
+  // drained), so a still-pending capture fires at the final state.
+  if (capture_at) capture_at = pipe.committed();
   boundary();
   if (meter) meter->finish(pipe.committed());
+  return d;
 }
 
-RunResult run_job(const RunnerConfig& cfg, const workload::BenchmarkProfile& profile,
-                  const std::optional<cpu::SchemeConfig>& scheme, double vdd, CaptureSpec* cap) {
-  JobContext ctx(cfg, profile, scheme, vdd);
-  StatSet base;
-  u64 base_committed = 0;
-  Cycle base_cycles = 0;
-  drive_run(cfg, ctx, profile, vdd, cap, base, base_committed, base_cycles);
-  cpu::PipelineResult pr = ctx.pipe->result_window(base, base_committed, base_cycles);
-  return detail::assemble_result(cfg, ctx, profile, vdd, std::move(pr));
+/// Drives `ctx` through its measured window and assembles the result,
+/// reported at supply `vdd`.
+RunResult measure(const RunnerConfig& cfg, JobContext& ctx, const RunSnapshot* start,
+                  double vdd) {
+  const MeasurementBase b = drive(cfg, ctx, start, std::nullopt).base;
+  return detail::assemble_result(cfg, ctx, vdd,
+                                 ctx.pipe->result_window(b.stats, b.committed, b.cycles));
 }
 
 }  // namespace
@@ -117,47 +119,18 @@ double normalized_to_ep(double scheme_pct, double ep_pct) {
 }
 
 RunResult ExperimentRunner::run(const workload::BenchmarkProfile& profile,
-                                const cpu::SchemeConfig& scheme, double vdd) const {
-  return run_job(cfg_, profile, scheme, vdd, nullptr);
-}
-
-RunResult ExperimentRunner::run_fault_free(const workload::BenchmarkProfile& profile,
-                                           double vdd) const {
-  return run_job(cfg_, profile, std::nullopt, vdd, nullptr);
+                                const std::optional<cpu::SchemeConfig>& scheme, double vdd,
+                                std::span<cpu::PipelineObserver* const> observers) const {
+  JobContext ctx(cfg_, profile, scheme, vdd);
+  for (cpu::PipelineObserver* o : observers) ctx.pipe->add_observer(o);
+  return measure(cfg_, ctx, nullptr, vdd);
 }
 
 RunSnapshot ExperimentRunner::capture(const workload::BenchmarkProfile& profile,
                                       const std::optional<cpu::SchemeConfig>& scheme, double vdd,
                                       u64 at_committed) const {
   JobContext ctx(cfg_, profile, scheme, vdd);
-  StatSet base;
-  u64 base_committed = 0;
-  Cycle base_cycles = 0;
-  CaptureSpec cap;
-  cap.at = at_committed;
-  cap.stop_after = true;
-  drive_run(cfg_, ctx, profile, vdd, &cap, base, base_committed, base_cycles);
-  if (!cap.done) {
-    throw std::runtime_error("capture point " + std::to_string(at_committed) +
-                             " never reached (source drained)");
-  }
-  return std::move(cap.snapshot);
-}
-
-CaptureResult ExperimentRunner::run_and_capture(const workload::BenchmarkProfile& profile,
-                                                const std::optional<cpu::SchemeConfig>& scheme,
-                                                double vdd, u64 at_committed) const {
-  JobContext ctx(cfg_, profile, scheme, vdd);
-  StatSet base;
-  u64 base_committed = 0;
-  Cycle base_cycles = 0;
-  CaptureSpec cap;
-  cap.at = at_committed;
-  drive_run(cfg_, ctx, profile, vdd, &cap, base, base_committed, base_cycles);
-  cpu::PipelineResult pr = ctx.pipe->result_window(base, base_committed, base_cycles);
-  CaptureResult out{detail::assemble_result(cfg_, ctx, profile, vdd, std::move(pr)),
-                    std::move(cap.snapshot)};
-  return out;
+  return *drive(cfg_, ctx, nullptr, at_committed).captured;
 }
 
 RunResult ExperimentRunner::run_from(const RunSnapshot& snapshot,
@@ -175,35 +148,8 @@ RunResult ExperimentRunner::run_from(const RunSnapshot& snapshot,
         "warmup key mismatch: the resuming runner's warmup-relevant configuration differs "
         "from the capturing one");
   }
-
   JobContext ctx(cfg_, m.profile, scheme_opt, m.vdd);
-  detail::restore_into(ctx, snapshot);
-
-  cpu::Pipeline& pipe = *ctx.pipe;
-  StatSet base = m.base;
-  u64 base_committed = m.base_committed;
-  Cycle base_cycles = m.base_cycles;
-  if (!m.base_captured && cfg_.warmup > 0) {
-    // Pre-boundary capture: finish warmup, then read the measurement base
-    // exactly where the uninterrupted run would have.
-    pipe.set_commit_limit(cfg_.warmup);
-    while (pipe.committed() < cfg_.warmup && pipe.step()) {
-    }
-    base = pipe.snapshot_stats();
-    base_committed = pipe.committed();
-    base_cycles = pipe.now();
-  }
-  // Warm-started timelines begin at the fork point (restore_into already
-  // rebaselined); the cut here separates any residual warmup windows so
-  // measured sums still reconcile with the measured StatSet.
-  if (ctx.timeline) ctx.timeline->mark_measurement(pipe.now(), pipe.committed());
-  const u64 target = cfg_.warmup + cfg_.instructions;
-  pipe.set_commit_limit(target);
-  while (pipe.committed() < target && pipe.step()) {
-  }
-  cpu::PipelineResult pr = pipe.result_window(base, base_committed, base_cycles);
-  return detail::assemble_result(cfg_, ctx, m.profile, vdd_override.value_or(m.vdd),
-                                 std::move(pr));
+  return measure(cfg_, ctx, &snapshot, vdd_override.value_or(m.vdd));
 }
 
 const std::vector<cpu::SchemeConfig>& comparative_schemes() {

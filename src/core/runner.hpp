@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -136,40 +137,33 @@ struct RunnerConfig {
 
 // Defined in src/core/snapshot.hpp; callers of the snapshot API include it.
 class RunSnapshot;
-struct CaptureResult;
 
-/// Executes simulations.  Stateless between runs; deterministic.
+/// Executes simulations.  Stateless between runs; deterministic.  All three
+/// entry points share one run loop (runner.cpp's drive()).  `scheme ==
+/// nullopt` selects the fault-free baseline (no fault model, no predictors,
+/// age policy), exactly like SweepJob::scheme.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(const RunnerConfig& cfg = {}) : cfg_(cfg) {}
 
-  /// Runs one (benchmark, scheme, supply) combination.
+  /// Runs one (benchmark, scheme, supply) combination.  `observers` (e.g.
+  /// trace writers; non-owning) watch the run without changing its result.
   [[nodiscard]] RunResult run(const workload::BenchmarkProfile& profile,
-                              const cpu::SchemeConfig& scheme, double vdd) const;
-
-  /// Fault-free baseline at the same supply (faults disabled, age policy).
-  [[nodiscard]] RunResult run_fault_free(const workload::BenchmarkProfile& profile,
-                                         double vdd) const;
+                              const std::optional<cpu::SchemeConfig>& scheme, double vdd,
+                              std::span<cpu::PipelineObserver* const> observers = {}) const;
 
   // ---- snapshot / warm-start API (src/core/snapshot.hpp) -------------------
-  // `scheme == nullopt` selects the fault-free-baseline path, exactly like
-  // SweepJob::scheme.
 
   /// Simulates up to the first cycle boundary where at least `at_committed`
   /// instructions have committed and returns the snapshot (the run is then
-  /// abandoned -- this is the cheap warmup-capture path).  The capture point
+  /// abandoned -- this is the cheap warmup-capture path).  A point at or
+  /// past the end of the run captures its final state.  The capture point
   /// is quantized to cycle boundaries, so resuming is bit-identical to
   /// having never paused.  Throws if the semantics checker (when enabled)
   /// has already failed at the capture point.
   [[nodiscard]] RunSnapshot capture(const workload::BenchmarkProfile& profile,
                                     const std::optional<cpu::SchemeConfig>& scheme, double vdd,
                                     u64 at_committed) const;
-
-  /// Runs to completion like run()/run_fault_free, additionally capturing a
-  /// snapshot at `at_committed` on the way through.
-  [[nodiscard]] CaptureResult run_and_capture(const workload::BenchmarkProfile& profile,
-                                              const std::optional<cpu::SchemeConfig>& scheme,
-                                              double vdd, u64 at_committed) const;
 
   /// Resumes a snapshot and runs the measurement to completion.  Workload,
   /// scheme and supply come from the snapshot's META; measurement-side

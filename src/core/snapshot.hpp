@@ -48,7 +48,7 @@ inline constexpr u32 kMetaChunkVersion = 2;
 
 /// Decoded META chunk.
 struct RunMeta {
-  /// Fault-free-baseline capture (run_fault_free path: no fault model, no
+  /// Fault-free-baseline capture (a `scheme == nullopt` run: no fault model, no
   /// predictors; `scheme` is ignored and PRED is absent).
   bool fault_free = false;
   workload::BenchmarkProfile profile;
@@ -104,16 +104,8 @@ class RunSnapshot {
   [[nodiscard]] snap::Snapshot& container() { return container_; }
 
  private:
-  friend class ExperimentRunner;
   snap::Snapshot container_;
   RunMeta meta_;
-};
-
-/// run_and_capture outcome: the uninterrupted run's result plus the mid-run
-/// snapshot taken along the way.
-struct CaptureResult {
-  RunResult result;
-  RunSnapshot snapshot;
 };
 
 // META codec (exposed for tests and `vasim snap info`).

@@ -183,8 +183,7 @@ SweepReport SweepRunner::run(const std::vector<SweepJob>& jobs) const {
       // where the supply does not influence execution (see warmup_key).
       out.result = runner.run_from(*g->snap, job.vdd);
     } else {
-      out.result = job.scheme ? runner.run(job.profile, *job.scheme, job.vdd)
-                              : runner.run_fault_free(job.profile, job.vdd);
+      out.result = runner.run(job.profile, job.scheme, job.vdd);
     }
     out.wall_ms = ms_between(j0, Clock::now());
     note_progress();

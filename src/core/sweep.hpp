@@ -2,10 +2,11 @@
 // VDD) simulations out over a thread pool and returns results in submission
 // order.
 //
-// Determinism guarantee: every job constructs its own TraceGenerator,
-// FaultModel, predictor and Pipeline inside ExperimentRunner::run, and no
-// state is shared between jobs, so the RunResults are bitwise identical
-// regardless of worker count.  `VASIM_JOBS=1` reproduces the historical
+// Determinism guarantee: every job runs through its own ExperimentRunner,
+// which builds a fresh TraceGenerator, FaultModel, predictor and Pipeline
+// per job; jobs share no mutable state (a warm-start group shares only a
+// read-only snapshot), so the RunResults are bitwise identical regardless
+// of worker count.  `VASIM_JOBS=1` reproduces the historical
 // strictly-sequential behaviour; the default is hardware_concurrency().
 //
 // Results can be serialized to a machine-readable `BENCH_<name>.json` so the

@@ -21,6 +21,7 @@
 #include "src/timing/process_variation.hpp"
 #include "src/timing/state_delay.hpp"
 #include "src/workload/profiles.hpp"
+#include "tests/run_compare.hpp"
 
 namespace vasim {
 namespace {
@@ -32,23 +33,6 @@ core::RunnerConfig adapt_config(adapt::DvfsPolicy policy) {
   rc.dvfs.policy = policy;
   rc.dvfs.epoch = 500;  // many controller steps within the tiny run
   return rc;
-}
-
-void expect_bitwise_identical(const core::RunResult& a, const core::RunResult& b) {
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.fault_rate_pct, b.fault_rate_pct);
-  EXPECT_EQ(a.stats.counters(), b.stats.counters());
-  EXPECT_EQ(core::result_checksum(a), core::result_checksum(b));
-  ASSERT_EQ(a.dvfs.has_value(), b.dvfs.has_value());
-  if (a.dvfs) {
-    EXPECT_EQ(a.dvfs->epochs, b.dvfs->epochs);
-    EXPECT_EQ(a.dvfs->wall_units, b.dvfs->wall_units);
-    EXPECT_EQ(a.dvfs->period_final, b.dvfs->period_final);
-    EXPECT_EQ(a.dvfs->period_lo, b.dvfs->period_lo);
-    EXPECT_EQ(a.dvfs->period_hi, b.dvfs->period_hi);
-  }
 }
 
 // ---- configuration ---------------------------------------------------------
@@ -189,11 +173,11 @@ TEST(AdaptStaticIdentity, StaticPolicyIsBitwiseDefaultBehavior) {
 
 TEST(AdaptStaticIdentity, FaultFreeBaselineIgnoresAdaptivePolicies) {
   const auto prof = workload::spec2006_profile("gcc");
-  const core::RunResult statc =
-      core::ExperimentRunner(adapt_config(adapt::DvfsPolicy::kStatic)).run_fault_free(prof, 1.04);
+  const core::RunResult statc = core::ExperimentRunner(adapt_config(adapt::DvfsPolicy::kStatic))
+                                     .run(prof, std::nullopt, 1.04);
   const core::RunResult adaptive =
       core::ExperimentRunner(adapt_config(adapt::DvfsPolicy::kReactive))
-          .run_fault_free(prof, 1.04);
+          .run(prof, std::nullopt, 1.04);
   expect_bitwise_identical(statc, adaptive);
   EXPECT_FALSE(adaptive.dvfs.has_value());
 }

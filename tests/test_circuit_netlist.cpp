@@ -353,7 +353,7 @@ using BuilderFn = std::function<Component()>;
 
 class BuilderInvariants : public ::testing::TestWithParam<std::pair<const char*, BuilderFn>> {};
 
-TEST_P(BuilderInvariants, NetlistIsWellFormedAndExportable) {
+TEST_P(BuilderInvariants, NetlistIsWellFormed) {
   const Component c = GetParam().second();
   const Netlist& n = c.netlist;
   // 1. IO bookkeeping matches the netlist.

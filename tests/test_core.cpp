@@ -178,9 +178,9 @@ TEST(Runner, FaultFreeExecutionIsSupplyIndependent) {
   rc.warmup = 1000;
   const ExperimentRunner runner(rc);
   const auto prof = workload::spec2006_profile("astar");
-  const RunResult ref = runner.run_fault_free(prof, timing::SupplyPoints::kLowFault);
+  const RunResult ref = runner.run(prof, std::nullopt, timing::SupplyPoints::kLowFault);
   for (const double vdd : {timing::SupplyPoints::kNominal, timing::SupplyPoints::kHighFault}) {
-    const RunResult r = runner.run_fault_free(prof, vdd);
+    const RunResult r = runner.run(prof, std::nullopt, vdd);
     EXPECT_EQ(r.committed, ref.committed) << vdd;
     EXPECT_EQ(r.cycles, ref.cycles) << vdd;
     EXPECT_EQ(r.ipc, ref.ipc) << vdd;
@@ -207,7 +207,7 @@ TEST(Runner, EndToEndSmallRun) {
   rc.warmup = 2000;
   const ExperimentRunner runner(rc);
   const auto prof = workload::spec2006_profile("tonto");
-  const RunResult ff = runner.run_fault_free(prof, 1.04);
+  const RunResult ff = runner.run(prof, std::nullopt, 1.04);
   EXPECT_EQ(ff.committed, 5000u);
   EXPECT_GT(ff.ipc, 0.05);
   EXPECT_GT(ff.energy.total_nj(), 0.0);

@@ -18,7 +18,7 @@ RunnerConfig small_runner() {
 TEST(Integration, SchemeOrderingHoldsAtHighFaultRate) {
   const ExperimentRunner runner(small_runner());
   const auto prof = workload::spec2006_profile("bzip2");
-  const RunResult ff = runner.run_fault_free(prof, 0.97);
+  const RunResult ff = runner.run(prof, std::nullopt, 0.97);
   const RunResult razor = runner.run(prof, cpu::scheme_razor(), 0.97);
   const RunResult ep = runner.run(prof, cpu::scheme_error_padding(), 0.97);
   const RunResult abs = runner.run(prof, cpu::scheme_abs(), 0.97);
@@ -36,7 +36,7 @@ TEST(Integration, SchemeOrderingHoldsAtHighFaultRate) {
 TEST(Integration, EdOverheadTracksPerfOverhead) {
   const ExperimentRunner runner(small_runner());
   const auto prof = workload::spec2006_profile("gobmk");
-  const RunResult ff = runner.run_fault_free(prof, 0.97);
+  const RunResult ff = runner.run(prof, std::nullopt, 0.97);
   const RunResult ep = runner.run(prof, cpu::scheme_error_padding(), 0.97);
   const Overheads o = overhead_vs(ff, ep);
   // Table 1 rows show ED% >= perf% (energy also rises with fault handling).
@@ -87,9 +87,9 @@ TEST(Integration, FaultFreeIpcOrderingSpotChecks) {
   rc.instructions = 30000;
   rc.warmup = 30000;
   const ExperimentRunner runner(rc);
-  const double mcf = runner.run_fault_free(workload::spec2006_profile("mcf"), 1.1).ipc;
-  const double astar = runner.run_fault_free(workload::spec2006_profile("astar"), 1.1).ipc;
-  const double sjeng = runner.run_fault_free(workload::spec2006_profile("sjeng"), 1.1).ipc;
+  const double mcf = runner.run(workload::spec2006_profile("mcf"), std::nullopt, 1.1).ipc;
+  const double astar = runner.run(workload::spec2006_profile("astar"), std::nullopt, 1.1).ipc;
+  const double sjeng = runner.run(workload::spec2006_profile("sjeng"), std::nullopt, 1.1).ipc;
   EXPECT_LT(mcf, astar);
   EXPECT_LT(astar, sjeng);
   EXPECT_LT(mcf, 0.7);

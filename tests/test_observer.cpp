@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
 
+#include "src/core/runner.hpp"
 #include "src/cpu/observer.hpp"
 #include "src/cpu/pipeline.hpp"
 #include "src/isa/assembler.hpp"
@@ -12,6 +14,7 @@
 #include "src/timing/fault_model.hpp"
 #include "src/workload/profiles.hpp"
 #include "src/workload/trace_generator.hpp"
+#include "tests/run_compare.hpp"
 
 namespace vasim::cpu {
 namespace {
@@ -64,6 +67,39 @@ TEST(Observer, LifecycleOrderingFaultFree) {
   EXPECT_GE(obs.dispatches, obs.issues);
   EXPECT_GE(obs.issues, obs.completes);
   EXPECT_GE(obs.completes, obs.commits);
+}
+
+// An observer handed to ExperimentRunner::run only watches: the run it
+// rides is bitwise the unobserved run, under each wiring `vasim run
+// --kanata/--trace` can reach.
+TEST(Observer, RunnerObserversLeaveResultsBitIdentical) {
+  struct Case {
+    const char* name;
+    std::optional<SchemeConfig> scheme;
+    core::PredictorKind predictor;
+    adapt::DvfsPolicy dvfs;
+  };
+  const Case cases[] = {
+      {"fault-free", std::nullopt, core::PredictorKind::kTep, adapt::DvfsPolicy::kStatic},
+      {"abs/mre", scheme_abs(), core::PredictorKind::kMre, adapt::DvfsPolicy::kStatic},
+      {"abs/reactive", scheme_abs(), core::PredictorKind::kTep, adapt::DvfsPolicy::kReactive},
+  };
+  const auto prof = workload::spec2006_profile("bzip2");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::RunnerConfig rc;
+    rc.instructions = 3'000;
+    rc.warmup = 500;
+    rc.predictor = c.predictor;
+    rc.dvfs.policy = c.dvfs;
+    rc.dvfs.epoch = 500;  // several controller steps within the run
+    const core::ExperimentRunner runner(rc);
+    CountingObserver obs;
+    PipelineObserver* const observers[] = {&obs};
+    const core::RunResult watched = runner.run(prof, c.scheme, 0.97, observers);
+    EXPECT_EQ(obs.commits, rc.warmup + rc.instructions);
+    expect_bitwise_identical(watched, runner.run(prof, c.scheme, 0.97));
+  }
 }
 
 TEST(Observer, SquashEventsUnderReplay) {

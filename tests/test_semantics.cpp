@@ -578,7 +578,7 @@ TEST(Metamorphic, RunnerAttachesCheckerOnDemand) {
       runner.run(prof, cpu::scheme_abs(), timing::SupplyPoints::kHighFault);
   EXPECT_GT(r.checker_checks, 0u);
   EXPECT_FALSE(r.commit_trail.empty());
-  const core::RunResult ff = runner.run_fault_free(prof, timing::SupplyPoints::kNominal);
+  const core::RunResult ff = runner.run(prof, std::nullopt, timing::SupplyPoints::kNominal);
   EXPECT_GT(ff.checker_checks, 0u);
 }
 

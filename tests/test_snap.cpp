@@ -21,6 +21,7 @@
 #include "src/snap/io.hpp"
 #include "src/workload/profiles.hpp"
 #include "tests/fuzz_util.hpp"
+#include "tests/run_compare.hpp"
 
 namespace vasim {
 namespace {
@@ -231,25 +232,6 @@ core::RunnerConfig snap_config() {
   return rc;
 }
 
-void expect_bitwise_identical(const core::RunResult& a, const core::RunResult& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.vdd, b.vdd);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.fault_rate_pct, b.fault_rate_pct);
-  EXPECT_EQ(a.replays, b.replays);
-  EXPECT_EQ(a.predictor_accuracy, b.predictor_accuracy);
-  EXPECT_EQ(a.energy.dynamic_nj, b.energy.dynamic_nj);
-  EXPECT_EQ(a.energy.leakage_nj, b.energy.leakage_nj);
-  EXPECT_EQ(a.energy.edp, b.energy.edp);
-  EXPECT_EQ(a.cpi.slots, b.cpi.slots);
-  EXPECT_EQ(a.stats.counters(), b.stats.counters());
-  EXPECT_EQ(a.commit_trail, b.commit_trail);
-  EXPECT_EQ(a.checker_checks, b.checker_checks);
-}
-
 TEST(RunSnapshot, WarmupCaptureResumesBitIdentically) {
   const auto prof = workload::spec2006_profile("bzip2");
   const auto scheme = core::scheme_by_name("razor");
@@ -265,7 +247,7 @@ TEST(RunSnapshot, WarmupCaptureResumesBitIdentically) {
 TEST(RunSnapshot, FileRoundTripPreservesResumeIdentity) {
   const auto prof = workload::spec2006_profile("gcc");
   const core::ExperimentRunner runner(snap_config());
-  const core::RunResult straight = runner.run_fault_free(prof, 0.97);
+  const core::RunResult straight = runner.run(prof, std::nullopt, 0.97);
 
   const std::string path = tmp_path("vasim_test_run.vsnap");
   runner.capture(prof, std::nullopt, 0.97, 800).write_file(path);
@@ -279,7 +261,7 @@ TEST(RunSnapshot, FileRoundTripPreservesResumeIdentity) {
 TEST(RunSnapshot, UnknownChunksAreSkippedOnRestore) {
   const auto prof = workload::spec2006_profile("bzip2");
   const core::ExperimentRunner runner(snap_config());
-  const core::RunResult straight = runner.run_fault_free(prof, 1.10);
+  const core::RunResult straight = runner.run(prof, std::nullopt, 1.10);
 
   core::RunSnapshot snap = runner.capture(prof, std::nullopt, 1.10, 1'000);
   snap::Writer future;
@@ -376,7 +358,7 @@ TEST(RunSnapshot, VddOverrideOnlyLegalForFaultFree) {
   // Fault-free execution is supply-independent; only energy accounting moves.
   const core::RunSnapshot base = runner.capture(prof, std::nullopt, 0.97, 500);
   const core::RunResult at104 = runner.run_from(base, 1.04);
-  const core::RunResult straight104 = runner.run_fault_free(prof, 1.04);
+  const core::RunResult straight104 = runner.run(prof, std::nullopt, 1.04);
   expect_bitwise_identical(at104, straight104);
 }
 
@@ -387,7 +369,7 @@ TEST(RunSnapshot, PeriodicIntervalSnapshotsAreWrittenAndLoadable) {
   rc.snapshot_path = prefix;
   const auto prof = workload::spec2006_profile("gobmk");
   const core::ExperimentRunner runner(rc);
-  const core::RunResult straight = runner.run_fault_free(prof, 0.97);
+  const core::RunResult straight = runner.run(prof, std::nullopt, 0.97);
 
   std::vector<std::string> files;
   const std::string dir = std::filesystem::temp_directory_path().string();
@@ -550,10 +532,9 @@ TEST(SnapFuzz, RandomCapturePointsResumeBitIdentically) {
                  std::to_string(vdd) + " capture@" + std::to_string(at));
 
     const core::ExperimentRunner runner(rc);
-    const core::CaptureResult cr = runner.run_and_capture(prof, scheme, vdd, at);
-    EXPECT_GE(cr.snapshot.meta().captured_committed, std::min(at, span));
-    const core::RunResult resumed = runner.run_from(cr.snapshot);
-    expect_bitwise_identical(resumed, cr.result);
+    const core::RunSnapshot snap = runner.capture(prof, scheme, vdd, at);
+    EXPECT_GE(snap.meta().captured_committed, std::min(at, span));
+    expect_bitwise_identical(runner.run_from(snap), runner.run(prof, scheme, vdd));
   }
 }
 

@@ -20,6 +20,7 @@
 #include "src/core/sweep.hpp"
 #include "src/workload/profiles.hpp"
 #include "tests/fuzz_util.hpp"
+#include "tests/run_compare.hpp"
 
 namespace vasim {
 namespace {
@@ -51,27 +52,8 @@ core::RunnerConfig pooled_config() {
   return rc;
 }
 
-/// Field-by-field bitwise identity, including the pieces that feed
-/// sweep_checksum (stats counters) and the ones that do not (trail,
-/// checker_checks) -- pooling may perturb neither.
-void expect_identical(const core::RunResult& a, const core::RunResult& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.vdd, b.vdd);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.fault_rate_pct, b.fault_rate_pct);
-  EXPECT_EQ(a.replays, b.replays);
-  EXPECT_EQ(a.predictor_accuracy, b.predictor_accuracy);
-  EXPECT_EQ(a.energy.dynamic_nj, b.energy.dynamic_nj);
-  EXPECT_EQ(a.energy.leakage_nj, b.energy.leakage_nj);
-  EXPECT_EQ(a.energy.edp, b.energy.edp);
-  EXPECT_EQ(a.stats.counters(), b.stats.counters());
-  EXPECT_EQ(a.commit_trail, b.commit_trail);
-  EXPECT_EQ(a.checker_checks, b.checker_checks);
-}
-
+// Pooling may perturb neither the pieces that feed sweep_checksum (stats
+// counters) nor the ones that do not (trail, checker_checks).
 TEST(SweepRunner, ResultsIdenticalAcrossWorkerCounts) {
   const std::vector<core::SweepJob> jobs = small_grid();
   const core::SweepRunner one(small_config(), 1);
@@ -80,7 +62,7 @@ TEST(SweepRunner, ResultsIdenticalAcrossWorkerCounts) {
   const std::vector<core::RunResult> r4 = four.run_results(jobs);
   ASSERT_EQ(r1.size(), jobs.size());
   ASSERT_EQ(r4.size(), jobs.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) expect_identical(r1[i], r4[i]);
+  for (std::size_t i = 0; i < r1.size(); ++i) expect_bitwise_identical(r1[i], r4[i]);
   EXPECT_EQ(core::sweep_checksum(r1), core::sweep_checksum(r4));
 }
 
@@ -254,7 +236,7 @@ TEST(BatchLockstep, ChecksumIdenticalAcrossWidthsOverFuzzSeeds) {
     ASSERT_EQ(rp.size(), jobs.size()) << "seed " << seed;
     for (std::size_t i = 0; i < r1.size(); ++i) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " job " + std::to_string(i));
-      expect_identical(r1[i], rp[i]);
+      expect_bitwise_identical(r1[i], rp[i]);
       EXPECT_GT(rp[i].checker_checks, 0u);  // a pass with 0 checks is blind
     }
     EXPECT_EQ(core::sweep_checksum(r1), core::sweep_checksum(rp)) << "seed " << seed;
@@ -290,10 +272,8 @@ TEST(BatchLockstep, MidBatchRetirementCompactsWithoutPerturbingSurvivors) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
     const core::ExperimentRunner solo(*jobs[i].config);
-    const core::RunResult rs = jobs[i].scheme
-                                   ? solo.run(jobs[i].profile, *jobs[i].scheme, jobs[i].vdd)
-                                   : solo.run_fault_free(jobs[i].profile, jobs[i].vdd);
-    expect_identical(rs, rp[i]);
+    const core::RunResult rs = solo.run(jobs[i].profile, jobs[i].scheme, jobs[i].vdd);
+    expect_bitwise_identical(rs, rp[i]);
     EXPECT_EQ(rp[i].committed, shapes[i].instructions);
   }
 }
@@ -309,7 +289,7 @@ TEST(BatchLockstep, WidthEdgesBatchWiderThanGridAndZeroClamp) {
   const std::vector<core::RunResult> rw = wide.run_results(jobs);
   const std::vector<core::RunResult> rn = narrow.run_results(jobs);
   ASSERT_EQ(rw.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) expect_identical(rw[i], rn[i]);
+  for (std::size_t i = 0; i < 2; ++i) expect_bitwise_identical(rw[i], rn[i]);
 
   // A zero width is an error now, not a value to clamp.
   core::SweepRunner sweeper(pooled_config(), 1);
@@ -336,7 +316,7 @@ TEST(BatchLockstep, ComposesWithWarmStartSharing) {
   EXPECT_EQ(b.warmup_groups, 2u);  // one fault-free pair per profile
   EXPECT_GT(b.warmup_cycles_simulated, 0u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_identical(a.jobs[i].result, b.jobs[i].result);
+    expect_bitwise_identical(a.jobs[i].result, b.jobs[i].result);
   }
 }
 
@@ -359,7 +339,7 @@ TEST(BatchLockstep, PooledBatchesMatchSequentialSingles) {
   ASSERT_EQ(rp.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
-    expect_identical(rs[i], rp[i]);
+    expect_bitwise_identical(rs[i], rp[i]);
   }
   EXPECT_EQ(core::sweep_checksum(rs), core::sweep_checksum(rp));
 }

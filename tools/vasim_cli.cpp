@@ -52,6 +52,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/adapt/dvfs.hpp"
 #include "src/common/table.hpp"
@@ -316,6 +317,28 @@ void print_cpi_table(const std::string& title, const obs::CpiStack& cpi, int com
   std::cout << t.render("CPI stack: " + title) << "\n";
 }
 
+/// Everything `vasim run` prints after the simulation, with or without
+/// --from-snapshot: the result line (or CSV row), then --stats, --cpi,
+/// --timeline and --profile.  Returns the exit code.
+int print_run_report(const Args& args, const core::RunResult& r, const core::RunResult* baseline,
+                     int commit_width, const obs::ProfilerHub& hub) {
+  if (args.has("csv")) {
+    std::cout << "benchmark,scheme,vdd,committed,cycles,ipc,fault_rate_pct,replays,"
+                 "predictor_accuracy,energy_nj,edp\n";
+  }
+  print_result(r, baseline, args.has("csv"));
+  if (args.has("stats")) std::cout << "\n" << r.stats.to_string();
+  if (args.has("cpi")) {
+    print_cpi_table(r.benchmark + "/" + r.scheme, r.cpi, commit_width, r.committed);
+  }
+  if (args.has("timeline") && r.timeline != nullptr) {
+    const int rcio = write_timeline_file(*r.timeline, args.get("timeline", ""));
+    if (rcio != 0) return rcio;
+  }
+  if (args.has("profile")) print_profile_tables(hub);
+  return 0;
+}
+
 int cmd_run_from_snapshot(const Args& args) {
   try {
     const core::RunSnapshot snap = core::RunSnapshot::read_file(args.get("from-snapshot", ""));
@@ -339,21 +362,8 @@ int cmd_run_from_snapshot(const Args& args) {
     rc.progress = args.has("progress");
     obs::ProfilerHub hub;
     if (args.has("profile")) rc.profiler_hub = &hub;
-    const core::ExperimentRunner runner(rc);
-    const core::RunResult r = runner.run_from(snap);
-    if (args.has("csv")) {
-      std::cout << "benchmark,scheme,vdd,committed,cycles,ipc,fault_rate_pct,replays,"
-                   "predictor_accuracy,energy_nj,edp\n";
-    }
-    print_result(r, nullptr, args.has("csv"));
-    if (args.has("stats")) std::cout << "\n" << r.stats.to_string();
-    if (args.has("cpi")) print_cpi_table(r.benchmark + "/" + r.scheme, r.cpi, rc.core.commit_width, r.committed);
-    if (args.has("timeline") && r.timeline != nullptr) {
-      const int rcio = write_timeline_file(*r.timeline, args.get("timeline", ""));
-      if (rcio != 0) return rcio;
-    }
-    if (args.has("profile")) print_profile_tables(hub);
-    return 0;
+    const core::RunResult r = core::ExperimentRunner(rc).run_from(snap);
+    return print_run_report(args, r, nullptr, rc.core.commit_width, hub);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 2;
@@ -363,11 +373,13 @@ int cmd_run_from_snapshot(const Args& args) {
 int cmd_run(const Args& args) {
   if (args.has("from-snapshot")) return cmd_run_from_snapshot(args);
   if (!args.has("bench") || !args.has("scheme")) return usage();
-  const auto scheme = core::scheme_by_name(args.get("scheme", ""));
+  const std::string scheme_name = args.get("scheme", "");
+  std::optional<cpu::SchemeConfig> scheme = core::scheme_by_name(scheme_name);
   if (!scheme) {
-    std::cerr << "unknown scheme '" << args.get("scheme", "") << "'\n";
+    std::cerr << "unknown scheme '" << scheme_name << "'\n";
     return 2;
   }
+  if (scheme_name == "fault-free") scheme.reset();  // the baseline wiring: no fault model
   workload::BenchmarkProfile prof;
   try {
     prof = workload::spec2006_profile(args.get("bench", ""));
@@ -383,119 +395,61 @@ int cmd_run(const Args& args) {
   rc.progress = args.has("progress");
   obs::ProfilerHub hub;
   if (args.has("profile")) rc.profiler_hub = &hub;
-  const core::ExperimentRunner runner(rc);
-  // The fault-free comparison run keeps the plain configuration: its
-  // telemetry would only shadow the requested scheme's.
-  core::RunnerConfig rc_baseline = rc;
-  rc_baseline.timeline_interval = 0;
-  rc_baseline.progress = false;
-  rc_baseline.profiler_hub = nullptr;
 
-  if (args.has("kanata") || args.has("trace")) {
-    if (rc.dvfs.adaptive()) {
-      throw std::invalid_argument(
-          "dvfs: adaptive policies are not supported with --kanata/--trace "
-          "(the trace path bypasses the experiment runner); drop the trace "
-          "flags or use --dvfs static");
+  // Trace writers ride the run as observers; both can watch the same run.
+  std::vector<cpu::PipelineObserver*> observers;
+  std::ofstream kanata_out;
+  std::optional<cpu::KanataTraceWriter> kanata;
+  if (args.has("kanata")) {
+    kanata_out.open(args.get("kanata", ""));
+    if (!kanata_out) {
+      std::cerr << "cannot open " << args.get("kanata", "") << "\n";
+      return 2;
     }
-    // Trace dumps need a hand-built pipeline to attach observers; both
-    // writers can ride the same run through the ObserverMux.
-    workload::TraceGenerator gen(prof);
-    timing::PathModelConfig pcfg;
-    pcfg.seed = prof.seed;
-    pcfg.p_faulty_high = prof.fr_high_pct / 100.0 * prof.fr_calib_high;
-    pcfg.p_faulty_low = prof.fr_low_pct / 100.0 * prof.fr_calib_low;
-    const timing::FaultModel fm(pcfg, vdd);
-    core::TimingErrorPredictor tep(rc.tep, &fm.environment());
-    cpu::Pipeline pipe(rc.core, *scheme, &gen, &fm,
-                       scheme->use_predictor ? &tep : nullptr);
-    std::unique_ptr<std::ofstream> kanata_out;
-    std::unique_ptr<cpu::KanataTraceWriter> kanata;
-    if (args.has("kanata")) {
-      kanata_out = std::make_unique<std::ofstream>(args.get("kanata", "trace.kanata"));
-      kanata = std::make_unique<cpu::KanataTraceWriter>(kanata_out.get(), 20'000);
-      pipe.add_observer(kanata.get());
+    observers.push_back(&kanata.emplace(&kanata_out, 20'000));
+  }
+  std::ofstream trace_out;
+  std::optional<obs::ChromeTraceWriter> trace;
+  std::optional<cpu::TraceObserver> trace_obs;
+  if (args.has("trace")) {
+    trace_out.open(args.get("trace", ""));
+    if (!trace_out) {
+      std::cerr << "cannot open " << args.get("trace", "") << "\n";
+      return 2;
     }
-    std::unique_ptr<std::ofstream> trace_out;
-    std::unique_ptr<obs::ChromeTraceWriter> trace;
-    std::unique_ptr<cpu::TraceObserver> trace_obs;
-    if (args.has("trace")) {
-      trace_out = std::make_unique<std::ofstream>(args.get("trace", "trace.json"));
-      trace = std::make_unique<obs::ChromeTraceWriter>(trace_out.get());
-      trace_obs = std::make_unique<cpu::TraceObserver>(trace.get(), 20'000);
-      pipe.add_observer(trace_obs.get());
-    }
-    std::optional<obs::Timeline> tl;
-    if (rc.timeline_interval > 0) {
-      obs::Timeline::Config tc;
-      tc.interval = rc.timeline_interval;
-      tc.capacity_hint =
-          static_cast<std::size_t>((rc.warmup + rc.instructions) / rc.timeline_interval) + 8;
-      tl.emplace(tc, &pipe.registry());
-      pipe.set_timeline(&*tl, tc.interval);
-    }
-    std::optional<obs::Profiler> profiler;
-    if (args.has("profile")) {
-      profiler.emplace();
-      pipe.set_profiler(&*profiler);
-    }
-    const cpu::PipelineResult pr = pipe.run(rc.instructions, rc.warmup);
-    if (tl) tl->finalize(pipe.now(), pipe.committed());
-    std::cout << "committed " << pr.committed << " in " << pr.cycles << " cycles (IPC "
-              << TextTable::fmt(pr.ipc()) << ")\n";
-    if (kanata) {
-      std::cout << "Kanata trace with " << kanata->instructions_logged()
-                << " instructions written to " << args.get("kanata", "") << "\n";
-    }
-    if (trace) {
-      if (tl && tl->windows() > 0) {
-        // The instruction spans place one cycle at one microsecond (pid 1);
-        // the counter tracks share that timebase on their own process row.
-        trace->process_name(2, "timeline");
-        tl->append_counter_tracks(*trace, 2, 0, "", 0.0, 1.0);
-      }
-      trace->finish();
-      std::cout << "Chrome trace with " << trace_obs->instructions_traced()
-                << " instructions written to " << args.get("trace", "")
-                << " (open in ui.perfetto.dev)\n";
-    }
-    if (args.has("cpi")) {
-      print_cpi_table(prof.name + "/" + scheme->name, pr.cpi, rc.core.commit_width,
-                      pr.committed);
-    }
-    if (args.has("timeline") && tl) {
-      const int rcio = write_timeline_file(*tl, args.get("timeline", ""));
-      if (rcio != 0) return rcio;
-    }
-    if (profiler) {
-      hub.merge(profiler->snapshot());
-      print_profile_tables(hub);
-    }
-    return 0;
+    observers.push_back(&trace_obs.emplace(&trace.emplace(&trace_out), 20'000));
   }
 
-  const core::RunResult r = scheme->name == "fault-free"
-                                ? runner.run_fault_free(prof, vdd)
-                                : runner.run(prof, *scheme, vdd);
+  const core::RunResult r = core::ExperimentRunner(rc).run(prof, scheme, vdd, observers);
   std::optional<core::RunResult> baseline;
-  if (scheme->name != "fault-free") {
-    baseline = core::ExperimentRunner(rc_baseline).run_fault_free(prof, vdd);
+  if (scheme) {
+    // The fault-free comparison run keeps the plain configuration: its
+    // telemetry would only shadow the requested scheme's.
+    core::RunnerConfig rc_baseline = rc;
+    rc_baseline.timeline_interval = 0;
+    rc_baseline.progress = false;
+    rc_baseline.profiler_hub = nullptr;
+    baseline = core::ExperimentRunner(rc_baseline).run(prof, std::nullopt, vdd);
   }
-  if (args.has("csv")) {
-    std::cout << "benchmark,scheme,vdd,committed,cycles,ipc,fault_rate_pct,replays,"
-                 "predictor_accuracy,energy_nj,edp\n";
+  if (trace && r.timeline != nullptr && r.timeline->windows() > 0) {
+    // The instruction spans place one cycle at one microsecond (pid 1);
+    // the counter tracks share that timebase on their own process row.
+    trace->process_name(2, "timeline");
+    r.timeline->append_counter_tracks(*trace, 2, 0, "", 0.0, 1.0);
   }
-  print_result(r, baseline ? &*baseline : nullptr, args.has("csv"));
-  if (args.has("stats")) std::cout << "\n" << r.stats.to_string();
-  if (args.has("cpi")) {
-    print_cpi_table(prof.name + "/" + scheme->name, r.cpi, rc.core.commit_width, r.committed);
+  if (trace) trace->finish();
+  const int rc_report = print_run_report(args, r, baseline ? &*baseline : nullptr,
+                                         rc.core.commit_width, hub);
+  if (kanata) {
+    std::cout << "Kanata trace with " << kanata->instructions_logged()
+              << " instructions written to " << args.get("kanata", "") << "\n";
   }
-  if (args.has("timeline") && r.timeline != nullptr) {
-    const int rcio = write_timeline_file(*r.timeline, args.get("timeline", ""));
-    if (rcio != 0) return rcio;
+  if (trace) {
+    std::cout << "Chrome trace with " << trace_obs->instructions_traced()
+              << " instructions written to " << args.get("trace", "")
+              << " (open in ui.perfetto.dev)\n";
   }
-  if (args.has("profile")) print_profile_tables(hub);
-  return 0;
+  return rc_report;
 }
 
 int cmd_sweep(const Args& args) {
