@@ -11,11 +11,10 @@
 #include <iostream>
 #include <memory>
 
-#include "src/cpu/observer.hpp"
-
 #include "src/common/table.hpp"
 #include "src/core/tep.hpp"
 #include "src/cpu/pipeline.hpp"
+#include "src/cpu/trace_sinks.hpp"
 #include "src/isa/assembler.hpp"
 #include "src/isa/executor.hpp"
 #include "src/timing/fault_model.hpp"
@@ -92,7 +91,7 @@ int main(int argc, char** argv) {
     if (trace_path != nullptr) {
       trace = std::make_unique<std::ofstream>(trace_path);
       writer = std::make_unique<cpu::KanataTraceWriter>(trace.get(), 5000);
-      pipe.set_observer(writer.get());
+      pipe.set_check_hooks(writer.get());
     }
 
     u64 last_replays = 0;

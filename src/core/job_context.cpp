@@ -7,11 +7,13 @@
 namespace vasim::core::detail {
 namespace {
 
-const snap::Chunk& require_v1(const snap::Snapshot& c, u32 tag) {
+/// The chunk `tag`, which must carry payload layout `version`.
+const snap::Chunk& require_version(const snap::Snapshot& c, u32 tag, u32 version = 1) {
   const snap::Chunk& chunk = c.require(tag);
-  if (chunk.version != 1) {
+  if (chunk.version != version) {
     throw snap::SnapshotError(snap::tag_name(tag) + " chunk version " +
-                              std::to_string(chunk.version) + " (this build reads 1)");
+                              std::to_string(chunk.version) + " (this build reads " +
+                              std::to_string(version) + ")");
   }
   return chunk;
 }
@@ -59,7 +61,7 @@ JobContext::JobContext(const RunnerConfig& cfg, const workload::BenchmarkProfile
   }
   if (cfg.commit_trail_stride > 0) {
     trail_obs.emplace(cfg.commit_trail_stride, &trail);
-    pipe->add_observer(&*trail_obs);
+    pipe->add_check_hooks(&*trail_obs);
   }
   if (cfg.timeline_interval > 0) {
     obs::Timeline::Config tc;
@@ -128,7 +130,7 @@ RunSnapshot make_snapshot(const RunnerConfig& cfg, const JobContext& ctx,
   if (ctx.checker) {
     snap::Writer chk_w;
     ctx.checker->save_state(chk_w);
-    s.container().add(kChunkChkr, 1, std::move(chk_w));
+    s.container().add(kChunkChkr, kCheckerChunkVersion, std::move(chk_w));
   }
   if (ctx.trail_obs) {
     snap::Writer trail_w;
@@ -149,29 +151,29 @@ RunSnapshot make_snapshot(const RunnerConfig& cfg, const JobContext& ctx,
 
 void restore_into(JobContext& ctx, const RunSnapshot& s) {
   {
-    snap::Reader r(require_v1(s.container(), kChunkTgen).payload);
+    snap::Reader r(require_version(s.container(), kChunkTgen).payload);
     ctx.gen.restore_state(r);
     r.expect_done("TGEN chunk");
   }
   {
-    snap::Reader r(require_v1(s.container(), kChunkPipe).payload);
+    snap::Reader r(require_version(s.container(), kChunkPipe).payload);
     ctx.pipe->restore_state(r);
     r.expect_done("PIPE chunk");
   }
   if (!ctx.fault_free) {
-    snap::Reader r(require_v1(s.container(), kChunkPred).payload);
+    snap::Reader r(require_version(s.container(), kChunkPred).payload);
     ctx.tep->restore_state(r);
     ctx.mre->restore_state(r);
     ctx.tvp->restore_state(r);
     r.expect_done("PRED chunk");
   }
   if (ctx.checker) {
-    snap::Reader r(require_v1(s.container(), kChunkChkr).payload);
+    snap::Reader r(require_version(s.container(), kChunkChkr, kCheckerChunkVersion).payload);
     ctx.checker->restore_state(r);
     r.expect_done("CHKR chunk");
   }
   if (ctx.trail_obs) {
-    snap::Reader r(require_v1(s.container(), kChunkTral).payload);
+    snap::Reader r(require_version(s.container(), kChunkTral).payload);
     const u64 commits = r.get_u64();
     const u32 n = r.get_count("TRAL commit trail", 8);
     ctx.trail.clear();
@@ -181,7 +183,7 @@ void restore_into(JobContext& ctx, const RunSnapshot& s) {
     ctx.trail_obs->set_commits(commits);
   }
   if (ctx.clock) {
-    snap::Reader r(require_v1(s.container(), kChunkAdpt).payload);
+    snap::Reader r(require_version(s.container(), kChunkAdpt).payload);
     ctx.clock->restore_state(r);
     r.expect_done("ADPT chunk");
     // Re-attach: re-arms the epoch threshold from the restored commit count

@@ -25,13 +25,12 @@ namespace vasim::core::detail {
 
 /// Samples the cycle counter at every `stride`-th commit (capped so huge
 /// runs stay cheap); consumed by test_golden_equiv's divergence printer.
-class CommitTrailObserver final : public cpu::PipelineObserver {
+class CommitTrailObserver final : public cpu::SchedHooks {
  public:
   CommitTrailObserver(u64 stride, std::vector<Cycle>* out) : stride_(stride), out_(out) {}
-  void on_cycle(Cycle now) override { now_ = now; }
-  void on_commit(SeqNum) override {
+  void on_committed(Cycle now, const cpu::InstState&) override {
     ++commits_;
-    if (commits_ % stride_ == 0 && out_->size() < kMaxEntries) out_->push_back(now_);
+    if (commits_ % stride_ == 0 && out_->size() < kMaxEntries) out_->push_back(now);
   }
 
   [[nodiscard]] u64 commits() const { return commits_; }
@@ -45,7 +44,6 @@ class CommitTrailObserver final : public cpu::PipelineObserver {
   u64 stride_;
   std::vector<Cycle>* out_;
   u64 commits_ = 0;
-  Cycle now_ = 0;
 };
 
 /// Everything one simulation owns, constructed in place.  Never moved: the

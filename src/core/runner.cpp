@@ -42,15 +42,20 @@ Driven drive(const RunnerConfig& cfg, JobContext& ctx, const RunSnapshot* start,
   // A resumed run writes the periodic files due after its fork point.
   const u64 interval = cfg.snapshot_interval;
   u64 next_periodic = interval == 0 ? 0 : (pipe.committed() / interval + 1) * interval;
+  // The meter counts and rates only the commits this run performs, not
+  // those a resumed run restored.
+  const u64 first = pipe.committed();
   std::optional<ProgressMeter> meter;
-  if (cfg.progress) meter.emplace("run", cfg.warmup + cfg.instructions, "commits");
+  if (cfg.progress) {
+    meter.emplace("run", std::max(cfg.warmup + cfg.instructions, first) - first, "commits");
+  }
   u64 progress_tick = 0;
 
   // Returns false once the requested capture is taken: the run stops there.
   const auto boundary = [&]() -> bool {
     // The meter rate-limits its own printing; the tick mask just keeps the
     // steady-clock read off most cycles.
-    if (meter && (++progress_tick & 0x1FFF) == 0) meter->update(pipe.committed());
+    if (meter && (++progress_tick & 0x1FFF) == 0) meter->update(pipe.committed() - first);
     if (capture_at && pipe.committed() >= *capture_at) {
       d.captured = detail::make_snapshot(cfg, ctx, d.base);
       return false;
@@ -91,7 +96,7 @@ Driven drive(const RunnerConfig& cfg, JobContext& ctx, const RunSnapshot* start,
   // drained), so a still-pending capture fires at the final state.
   if (capture_at) capture_at = pipe.committed();
   boundary();
-  if (meter) meter->finish(pipe.committed());
+  if (meter) meter->finish(pipe.committed() - first);
   return d;
 }
 
@@ -120,9 +125,9 @@ double normalized_to_ep(double scheme_pct, double ep_pct) {
 
 RunResult ExperimentRunner::run(const workload::BenchmarkProfile& profile,
                                 const std::optional<cpu::SchemeConfig>& scheme, double vdd,
-                                std::span<cpu::PipelineObserver* const> observers) const {
+                                std::span<cpu::SchedHooks* const> sinks) const {
   JobContext ctx(cfg_, profile, scheme, vdd);
-  for (cpu::PipelineObserver* o : observers) ctx.pipe->add_observer(o);
+  for (cpu::SchedHooks* h : sinks) ctx.pipe->add_check_hooks(h);
   return measure(cfg_, ctx, nullptr, vdd);
 }
 

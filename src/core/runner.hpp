@@ -146,11 +146,12 @@ class ExperimentRunner {
  public:
   explicit ExperimentRunner(const RunnerConfig& cfg = {}) : cfg_(cfg) {}
 
-  /// Runs one (benchmark, scheme, supply) combination.  `observers` (e.g.
-  /// trace writers; non-owning) watch the run without changing its result.
+  /// Runs one (benchmark, scheme, supply) combination.  `sinks` (e.g.
+  /// trace writers; non-owning) watch the run's pipeline events without
+  /// changing its result.
   [[nodiscard]] RunResult run(const workload::BenchmarkProfile& profile,
                               const std::optional<cpu::SchemeConfig>& scheme, double vdd,
-                              std::span<cpu::PipelineObserver* const> observers = {}) const;
+                              std::span<cpu::SchedHooks* const> sinks = {}) const;
 
   // ---- snapshot / warm-start API (src/core/snapshot.hpp) -------------------
 

@@ -46,6 +46,11 @@ inline constexpr u32 kChunkAdpt = snap::chunk_tag("ADPT");
 /// rather than guessed at.
 inline constexpr u32 kMetaChunkVersion = 2;
 
+/// CHKR chunk version this build writes and reads.  v2 dropped the
+/// checker's cross-check of a second, coarser pipeline event bus; v1
+/// payloads still carry those fields and are rejected.
+inline constexpr u32 kCheckerChunkVersion = 2;
+
 /// Decoded META chunk.
 struct RunMeta {
   /// Fault-free-baseline capture (a `scheme == nullopt` run: no fault model, no

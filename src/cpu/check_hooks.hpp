@@ -1,33 +1,30 @@
-// Fine-grained scheduler-kernel hooks for runtime semantics checking.
+// The pipeline's one event stream.
 //
-// The coarse PipelineObserver reports instruction lifecycles; a SchedHooks
-// sink additionally sees the cycle-level scheduling decisions the paper's
-// rules constrain: select-pass visit order and outcomes, FU reservations
-// (the FUSR of Section 3.3.3), tag broadcasts with their CDL dependent
-// counts (Section 3.5.2), Error-Padding stall and Razor replay events, and
-// the per-cycle freeze / LSQ CAM-block state.  The semantics checker
-// (src/check/semantics.hpp) mirrors the scheduling rules over this event
-// stream; the pipeline never reads anything back from a sink, so attaching
-// one cannot perturb simulation results.
-//
-// Compile-time gate: building with -DVASIM_CHECK_HOOKS=0 folds
-// kCheckHooksEnabled to false and every call site compiles away (the
-// zero-cost configuration).  Test builds must keep the hooks on --
-// test_semantics asserts kCheckHooksEnabled so CI fails if the checker is
-// accidentally compiled out.
+// A SchedHooks sink sees every instruction lifecycle event (fetch,
+// dispatch, issue, completion, commit, squash) together with the
+// cycle-level scheduling decisions the paper's rules constrain: select-pass
+// visit order and outcomes, FU reservations (the FUSR of Section 3.3.3),
+// tag broadcasts with their CDL dependent counts (Section 3.5.2),
+// Error-Padding stall and Razor replay events, and the per-cycle freeze /
+// LSQ CAM-block state.  The semantics checker (src/check/semantics.hpp),
+// the Kanata and Perfetto trace writers (src/cpu/trace_sinks.hpp) and the
+// runner's commit trail are all sinks of this stream; any number of them
+// share one pipeline (Pipeline::add_check_hooks).  The pipeline never reads
+// anything back from a sink, so attaching one cannot perturb simulation
+// results, and with none attached each emission site costs one predictable
+// branch.
 #ifndef VASIM_CPU_CHECK_HOOKS_HPP
 #define VASIM_CPU_CHECK_HOOKS_HPP
 
 #include "src/common/types.hpp"
 #include "src/cpu/sched_kernel.hpp"
-
-#ifndef VASIM_CHECK_HOOKS
-#define VASIM_CHECK_HOOKS 1
-#endif
+#include "src/isa/dyninst.hpp"
 
 namespace vasim::cpu {
 
-inline constexpr bool kCheckHooksEnabled = VASIM_CHECK_HOOKS != 0;
+/// Always true: every build emits the stream.  Kept because benchmark
+/// reports record it.
+inline constexpr bool kCheckHooksEnabled = true;
 
 /// What happened to one candidate the select stage visited.
 enum class SelectOutcome : u8 {
@@ -36,8 +33,9 @@ enum class SelectOutcome : u8 {
   kLoadBlocked,  ///< load gated by an un-issued older matching store
 };
 
-/// Scheduler-kernel event sink.  All callbacks default to no-ops; every
-/// InstState reference is only valid for the duration of the call.
+/// Pipeline event sink.  All callbacks default to no-ops; every InstState
+/// and DynInst reference is only valid for the duration of the call.
+/// Sequence numbers are re-assigned after a squash.
 class SchedHooks {
  public:
   virtual ~SchedHooks() = default;
@@ -46,6 +44,11 @@ class SchedHooks {
   /// the freeze state that constrains this cycle's selection.
   virtual void on_cycle_start(Cycle now, int slots_frozen, bool mem_blocked) {
     (void)now, (void)slots_frozen, (void)mem_blocked;
+  }
+  /// An instruction entered the front end, on the true path or (with
+  /// CoreConfig::model_wrong_path) down a mispredicted branch's wrong path.
+  virtual void on_fetched(Cycle now, SeqNum seq, const isa::DynInst& di) {
+    (void)now, (void)seq, (void)di;
   }
   /// One global-stall cycle applied (EP padding or replay recirculation).
   /// All pending event/FU reservations shift by one with it.

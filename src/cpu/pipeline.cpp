@@ -209,7 +209,6 @@ void Pipeline::process_events() {
         if (is == nullptr) break;
         is->completed = true;
         fire([&](SchedHooks& h) { h.on_completed(now_, *is); });
-        if (observer_ != nullptr) observer_->on_complete(e.seq);
         if (fetch_blocked_on_ && *fetch_blocked_on_ == e.seq) {
           fetch_blocked_on_.reset();
           if (cfg_.model_wrong_path) squash_younger(e.seq, /*refetch_true_path=*/false);
@@ -310,7 +309,6 @@ void Pipeline::squash_younger(SeqNum last_kept, bool refetch_true_path) {
     window_.pop_back();
   }
   c_squash_.inc(squashed);
-  if (observer_ != nullptr && squashed > 0) observer_->on_squash(last_kept + 1, youngest);
   if (squashed > 0) {
     fire([&](SchedHooks& h) { h.on_squashed(now_, last_kept + 1, youngest); });
   }
@@ -399,7 +397,6 @@ void Pipeline::commit_stage() {
     if (is.actual_fault || is.safe_mode) c_committed_faulty_.inc();
     fire([&](SchedHooks& h) { h.on_committed(now_, is); });
     ++committed_;
-    if (observer_ != nullptr) observer_->on_commit(window_.head_seq());
     c_commit_.inc();
     c_cpi_[static_cast<std::size_t>(obs::CpiCause::kBase)].inc();
     window_.pop_front();
@@ -630,7 +627,6 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
   is.issued = true;
   is.in_iq = false;
   --iq_count_;
-  if (observer_ != nullptr) observer_->on_issue(is.di.seq, is.pred_fault);
   c_select_.inc();
   c_regread_.inc();
   // (ev.fu.* accounting happens inside FuPool::allocate.)
@@ -715,7 +711,6 @@ void Pipeline::dispatch_stage() {
     const bool p2 =
         is.phys_src2 != kNoReg && phys_ready_[static_cast<std::size_t>(is.phys_src2)] == 0;
 
-    if (observer_ != nullptr) observer_->on_dispatch(fi.seq);
     fire([&](SchedHooks& h) { h.on_dispatched(now_, is); });
     window_.push_back(is, p1, p2);
     frontend_.pop_front();
@@ -744,7 +739,7 @@ void Pipeline::fetch_stage() {
       fi.history = bpred_.history();
       c_fetch_.inc();
       c_wrongpath_fetch_.inc();
-      if (observer_ != nullptr) observer_->on_fetch(fi.seq, fi.di);
+      fire([&](SchedHooks& h) { h.on_fetched(now_, fi.seq, fi.di); });
       frontend_.push_back(fi);
       --wp_budget;
     }
@@ -835,7 +830,7 @@ void Pipeline::fetch_stage() {
         }
       }
     }
-    if (observer_ != nullptr) observer_->on_fetch(fi.seq, fi.di);
+    fire([&](SchedHooks& h) { h.on_fetched(now_, fi.seq, fi.di); });
     frontend_.push_back(fi);
     --budget;
     if (blocked) break;
@@ -879,7 +874,6 @@ bool Pipeline::step() {
   mem_blocked_next_ = false;
 
   fire([&](SchedHooks& h) { h.on_cycle_start(now_, slots_frozen_now_, mem_blocked_now_); });
-  if (observer_ != nullptr) observer_->on_cycle(now_);
   if (obs::kProfHooksEnabled && profiler_ != nullptr) {
     // The profiled stage sequence is a duplicate so the unprofiled path
     // stays exactly as it was (zero-cost-when-off, like the check hooks).

@@ -39,7 +39,6 @@
 #include "src/cpu/config.hpp"
 #include "src/cpu/fu_pool.hpp"
 #include "src/cpu/hooks.hpp"
-#include "src/cpu/observer.hpp"
 #include "src/cpu/sched_kernel.hpp"
 #include "src/isa/dyninst.hpp"
 #include "src/timing/fault_model.hpp"
@@ -122,25 +121,18 @@ class Pipeline {
   /// Cumulative CPI stack (commit-slot attribution) since construction.
   [[nodiscard]] obs::CpiStack cpi_stack() const;
 
-  /// Replaces all attached observers with `observer` (null detaches
-  /// everything).  Thin wrapper over the ObserverMux; non-owning.
-  void set_observer(PipelineObserver* observer) {
-    observer_mux_.clear();
-    add_observer(observer);
+  /// Replaces every attached event sink with `hooks` (null detaches them
+  /// all).  Non-owning; the pipeline never reads back from a sink.
+  void set_check_hooks(SchedHooks* hooks) {
+    hooks_.clear();
+    add_check_hooks(hooks);
   }
-  /// Attaches an additional lifecycle observer (e.g. a KanataTraceWriter
-  /// and a TraceObserver at the same time); non-owning, null ignored.
-  void add_observer(PipelineObserver* observer) {
-    observer_mux_.add(observer);
-    observer_ = observer_mux_.as_observer();
+  /// Attaches one more event sink (e.g. the semantics checker and a commit
+  /// trail, or a Kanata and a Perfetto writer); each event reaches the
+  /// sinks in attach order.  Non-owning; null is ignored.
+  void add_check_hooks(SchedHooks* hooks) {
+    if (hooks != nullptr) hooks_.push_back(hooks);
   }
-
-  /// Attaches the fine-grained scheduler-kernel event sink (null detaches).
-  /// Non-owning; the pipeline never reads back from it.  Builds with
-  /// VASIM_CHECK_HOOKS=0 compile every emission site away; use
-  /// kCheckHooksEnabled to detect that configuration.
-  void set_check_hooks(SchedHooks* hooks) { hooks_ = hooks; }
-  [[nodiscard]] SchedHooks* check_hooks() const { return hooks_; }
 
   /// Attaches an interval sampler: `timeline` records one window at the
   /// first cycle boundary at or past each `interval`-commit threshold
@@ -222,13 +214,11 @@ class Pipeline {
   [[nodiscard]] bool faults_enabled() const;
   void train_predictor(const InstState& is, bool faulty);
 
-  /// Emits one SchedHooks event; the whole call folds away when the hooks
-  /// are compiled out, and costs a single predictable branch when detached.
+  /// Emits one SchedHooks event to every attached sink; a single
+  /// predictable branch when none is attached.
   template <typename F>
   void fire(F&& f) const {
-    if constexpr (kCheckHooksEnabled) {
-      if (hooks_ != nullptr) f(*hooks_);
-    }
+    for (SchedHooks* h : hooks_) f(*h);
   }
 
   /// Samples the timeline when the cycle that just ended crossed a K-commit
@@ -259,9 +249,7 @@ class Pipeline {
   // ---- configuration -------------------------------------------------------
   CoreConfig cfg_;
   SchemeConfig scheme_;
-  PipelineObserver* observer_ = nullptr;
-  ObserverMux observer_mux_;
-  SchedHooks* hooks_ = nullptr;
+  std::vector<SchedHooks*> hooks_;  ///< event sinks, in attach order
   obs::Timeline* timeline_ = nullptr;
   u64 timeline_interval_ = 0;
   u64 timeline_next_ = ~0ULL;  ///< next commit threshold; ~0 when detached

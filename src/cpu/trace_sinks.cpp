@@ -1,42 +1,8 @@
-#include "src/cpu/observer.hpp"
+#include "src/cpu/trace_sinks.hpp"
 
 #include <string>
 
 namespace vasim::cpu {
-
-// ---- ObserverMux -----------------------------------------------------------
-
-void ObserverMux::add(PipelineObserver* obs) {
-  if (obs != nullptr) observers_.push_back(obs);
-}
-
-PipelineObserver* ObserverMux::as_observer() {
-  if (observers_.empty()) return nullptr;
-  if (observers_.size() == 1) return observers_.front();
-  return this;
-}
-
-void ObserverMux::on_cycle(Cycle now) {
-  for (PipelineObserver* o : observers_) o->on_cycle(now);
-}
-void ObserverMux::on_fetch(SeqNum seq, const isa::DynInst& di) {
-  for (PipelineObserver* o : observers_) o->on_fetch(seq, di);
-}
-void ObserverMux::on_dispatch(SeqNum seq) {
-  for (PipelineObserver* o : observers_) o->on_dispatch(seq);
-}
-void ObserverMux::on_issue(SeqNum seq, bool predicted_faulty) {
-  for (PipelineObserver* o : observers_) o->on_issue(seq, predicted_faulty);
-}
-void ObserverMux::on_complete(SeqNum seq) {
-  for (PipelineObserver* o : observers_) o->on_complete(seq);
-}
-void ObserverMux::on_commit(SeqNum seq) {
-  for (PipelineObserver* o : observers_) o->on_commit(seq);
-}
-void ObserverMux::on_squash(SeqNum first, SeqNum last) {
-  for (PipelineObserver* o : observers_) o->on_squash(first, last);
-}
 
 // ---- KanataTraceWriter -----------------------------------------------------
 
@@ -45,25 +11,23 @@ KanataTraceWriter::KanataTraceWriter(std::ostream* out, u64 max_instructions)
 
 bool KanataTraceWriter::tracked(SeqNum seq) const { return seq < max_instructions_; }
 
-void KanataTraceWriter::sync_cycle() {
+void KanataTraceWriter::sync_cycle(Cycle now) {
   if (!header_written_) {
     *out_ << "Kanata\t0004\n";
-    *out_ << "C=\t" << now_ << "\n";
-    emitted_cycle_ = now_;
+    *out_ << "C=\t" << now << "\n";
+    emitted_cycle_ = now;
     header_written_ = true;
     return;
   }
-  if (now_ > emitted_cycle_) {
-    *out_ << "C\t" << (now_ - emitted_cycle_) << "\n";
-    emitted_cycle_ = now_;
+  if (now > emitted_cycle_) {
+    *out_ << "C\t" << (now - emitted_cycle_) << "\n";
+    emitted_cycle_ = now;
   }
 }
 
-void KanataTraceWriter::on_cycle(Cycle now) { now_ = now; }
-
-void KanataTraceWriter::on_fetch(SeqNum seq, const isa::DynInst& di) {
+void KanataTraceWriter::on_fetched(Cycle now, SeqNum seq, const isa::DynInst& di) {
   if (!tracked(seq)) return;
-  sync_cycle();
+  sync_cycle(now);
   ++logged_;
   *out_ << "I\t" << seq << "\t" << seq << "\t0\n";
   *out_ << "L\t" << seq << "\t0\t" << std::hex << di.pc << std::dec << ": "
@@ -71,33 +35,37 @@ void KanataTraceWriter::on_fetch(SeqNum seq, const isa::DynInst& di) {
   *out_ << "S\t" << seq << "\t0\tF\n";
 }
 
-void KanataTraceWriter::on_dispatch(SeqNum seq) {
+void KanataTraceWriter::on_dispatched(Cycle now, const InstState& is) {
+  const SeqNum seq = is.di.seq;
   if (!tracked(seq)) return;
-  sync_cycle();
+  sync_cycle(now);
   *out_ << "S\t" << seq << "\t0\tDs\n";
 }
 
-void KanataTraceWriter::on_issue(SeqNum seq, bool predicted_faulty) {
+void KanataTraceWriter::on_issued(Cycle now, const InstState& is, Cycle, Cycle) {
+  const SeqNum seq = is.di.seq;
   if (!tracked(seq)) return;
-  sync_cycle();
+  sync_cycle(now);
   *out_ << "S\t" << seq << "\t0\tIs\n";
-  if (predicted_faulty) *out_ << "L\t" << seq << "\t1\t[predicted faulty]\n";
+  if (is.pred_fault) *out_ << "L\t" << seq << "\t1\t[predicted faulty]\n";
 }
 
-void KanataTraceWriter::on_complete(SeqNum seq) {
+void KanataTraceWriter::on_completed(Cycle now, const InstState& is) {
+  const SeqNum seq = is.di.seq;
   if (!tracked(seq)) return;
-  sync_cycle();
+  sync_cycle(now);
   *out_ << "S\t" << seq << "\t0\tCm\n";
 }
 
-void KanataTraceWriter::on_commit(SeqNum seq) {
+void KanataTraceWriter::on_committed(Cycle now, const InstState& is) {
+  const SeqNum seq = is.di.seq;
   if (!tracked(seq)) return;
-  sync_cycle();
+  sync_cycle(now);
   *out_ << "R\t" << seq << "\t" << retire_id_++ << "\t0\n";
 }
 
-void KanataTraceWriter::on_squash(SeqNum first, SeqNum last) {
-  sync_cycle();
+void KanataTraceWriter::on_squashed(Cycle now, SeqNum first, SeqNum last) {
+  sync_cycle(now);
   for (SeqNum s = first; s <= last && tracked(s); ++s) {
     *out_ << "R\t" << s << "\t0\t1\n";  // type 1 = flushed
   }
@@ -116,39 +84,40 @@ TraceObserver::Rec* TraceObserver::rec(SeqNum seq) {
   return &recs_[static_cast<std::size_t>(seq)];
 }
 
-void TraceObserver::on_fetch(SeqNum seq, const isa::DynInst& di) {
+void TraceObserver::on_fetched(Cycle now, SeqNum seq, const isa::DynInst& di) {
   Rec* r = rec(seq);
   if (r == nullptr) return;
   *r = Rec{};  // a refetch re-assigns the seq: restart the row
-  r->fetch = now_;
+  r->fetch = now;
   r->pc = di.pc;
   r->op = di.op;
   r->phase = 1;
 }
 
-void TraceObserver::on_dispatch(SeqNum seq) {
-  Rec* r = rec(seq);
+void TraceObserver::on_dispatched(Cycle now, const InstState& is) {
+  Rec* r = rec(is.di.seq);
   if (r == nullptr || r->phase != 1) return;
-  r->dispatch = now_;
+  r->dispatch = now;
   r->phase = 2;
 }
 
-void TraceObserver::on_issue(SeqNum seq, bool predicted_faulty) {
-  Rec* r = rec(seq);
+void TraceObserver::on_issued(Cycle now, const InstState& is, Cycle, Cycle) {
+  Rec* r = rec(is.di.seq);
   if (r == nullptr || r->phase != 2) return;
-  r->issue = now_;
-  r->pred_fault = predicted_faulty;
+  r->issue = now;
+  r->pred_fault = is.pred_fault;
   r->phase = 3;
 }
 
-void TraceObserver::on_complete(SeqNum seq) {
-  Rec* r = rec(seq);
+void TraceObserver::on_completed(Cycle now, const InstState& is) {
+  Rec* r = rec(is.di.seq);
   if (r == nullptr || r->phase != 3) return;
-  r->complete = now_;
+  r->complete = now;
   r->phase = 4;
 }
 
-void TraceObserver::on_commit(SeqNum seq) {
+void TraceObserver::on_committed(Cycle now, const InstState& is) {
+  const SeqNum seq = is.di.seq;
   Rec* r = rec(seq);
   if (r == nullptr || r->phase != 4) return;
   const auto us = [](Cycle c) { return static_cast<double>(c); };
@@ -160,18 +129,18 @@ void TraceObserver::on_commit(SeqNum seq) {
   span("frontend", r->fetch, r->dispatch);
   span("queue", r->dispatch, r->issue);
   span(r->pred_fault ? "execute [pred-faulty]" : "execute", r->issue, r->complete);
-  span("retire-wait", r->complete, now_);
-  writer_->instant_event("commit", "instruction", 1, seq, us(now_),
+  span("retire-wait", r->complete, now);
+  writer_->instant_event("commit", "instruction", 1, seq, us(now),
                          {{"pc", std::to_string(r->pc)},
                           {"op", obs::json_quote(isa::to_string(r->op))}});
   r->phase = 0;
   ++traced_;
 }
 
-void TraceObserver::on_squash(SeqNum first, SeqNum last) {
+void TraceObserver::on_squashed(Cycle now, SeqNum first, SeqNum last) {
   for (SeqNum s = first; s <= last && tracked(s); ++s) {
     if (recs_.size() <= s || recs_[static_cast<std::size_t>(s)].phase == 0) continue;
-    writer_->instant_event("squash", "instruction", 1, s, static_cast<double>(now_));
+    writer_->instant_event("squash", "instruction", 1, s, static_cast<double>(now));
     recs_[static_cast<std::size_t>(s)].phase = 0;
   }
 }

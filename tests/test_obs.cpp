@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "src/core/sweep.hpp"
-#include "src/cpu/observer.hpp"
 #include "src/cpu/pipeline.hpp"
+#include "src/cpu/trace_sinks.hpp"
 #include "src/obs/cpi.hpp"
 #include "src/obs/registry.hpp"
 #include "src/obs/trace.hpp"
@@ -219,7 +219,7 @@ TEST(ChromeTrace, TraceObserverEmitsValidJsonAndOneCommitPerInstruction) {
   std::ostringstream os;
   obs::ChromeTraceWriter writer(&os);
   cpu::TraceObserver observer(&writer, 100'000);
-  p.add_observer(&observer);
+  p.add_check_hooks(&observer);
   const cpu::PipelineResult r = p.run(2'000);
   writer.finish();
 

@@ -1,16 +1,19 @@
-// Tests for the pipeline observer hooks and the Kanata trace writer.
+// Tests for the pipeline event stream's lifecycle events, its sink list
+// and the Kanata and Perfetto trace writers.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/core/runner.hpp"
-#include "src/cpu/observer.hpp"
 #include "src/cpu/pipeline.hpp"
+#include "src/cpu/trace_sinks.hpp"
 #include "src/isa/assembler.hpp"
 #include "src/isa/executor.hpp"
+#include "src/obs/trace.hpp"
 #include "src/timing/fault_model.hpp"
 #include "src/workload/profiles.hpp"
 #include "src/workload/trace_generator.hpp"
@@ -19,8 +22,22 @@
 namespace vasim::cpu {
 namespace {
 
+/// The interface the trace writers implement and ExperimentRunner::run
+/// accepts.
+using TraceSink = SchedHooks;
+
+/// FNV-1a over a byte string.
+u64 fnv1a(const std::string& bytes) {
+  u64 h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 /// Counts lifecycle events and checks per-instruction ordering.
-struct CountingObserver final : PipelineObserver {
+struct CountingObserver final : SchedHooks {
   u64 fetches = 0, dispatches = 0, issues = 0, completes = 0, commits = 0, squashed = 0;
   std::vector<u8> state;  // per-seq lifecycle stage
 
@@ -29,28 +46,28 @@ struct CountingObserver final : PipelineObserver {
     EXPECT_EQ(state[static_cast<std::size_t>(seq)], expect) << "seq " << seq;
     state[static_cast<std::size_t>(seq)] = next;
   }
-  void on_fetch(SeqNum seq, const isa::DynInst&) override {
+  void on_fetched(Cycle, SeqNum seq, const isa::DynInst&) override {
     ++fetches;
     if (state.size() <= seq) state.resize(static_cast<std::size_t>(seq) + 1, 0);
     state[static_cast<std::size_t>(seq)] = 1;  // refetch after squash resets
   }
-  void on_dispatch(SeqNum seq) override {
+  void on_dispatched(Cycle, const InstState& is) override {
     ++dispatches;
-    bump(seq, 1, 2);
+    bump(is.di.seq, 1, 2);
   }
-  void on_issue(SeqNum seq, bool) override {
+  void on_issued(Cycle, const InstState& is, Cycle, Cycle) override {
     ++issues;
-    bump(seq, 2, 3);
+    bump(is.di.seq, 2, 3);
   }
-  void on_complete(SeqNum seq) override {
+  void on_completed(Cycle, const InstState& is) override {
     ++completes;
-    bump(seq, 3, 4);
+    bump(is.di.seq, 3, 4);
   }
-  void on_commit(SeqNum seq) override {
+  void on_committed(Cycle, const InstState& is) override {
     ++commits;
-    bump(seq, 4, 5);
+    bump(is.di.seq, 4, 5);
   }
-  void on_squash(SeqNum first, SeqNum last) override { squashed += last - first + 1; }
+  void on_squashed(Cycle, SeqNum first, SeqNum last) override { squashed += last - first + 1; }
 };
 
 TEST(Observer, LifecycleOrderingFaultFree) {
@@ -59,7 +76,7 @@ TEST(Observer, LifecycleOrderingFaultFree) {
   CoreConfig cfg;
   Pipeline p(cfg, scheme_fault_free(), &g, nullptr, nullptr);
   CountingObserver obs;
-  p.set_observer(&obs);
+  p.set_check_hooks(&obs);
   const PipelineResult r = p.run(5000);
   EXPECT_EQ(r.committed, 5000u);
   EXPECT_EQ(obs.commits, 5000u);
@@ -95,11 +112,34 @@ TEST(Observer, RunnerObserversLeaveResultsBitIdentical) {
     rc.dvfs.epoch = 500;  // several controller steps within the run
     const core::ExperimentRunner runner(rc);
     CountingObserver obs;
-    PipelineObserver* const observers[] = {&obs};
-    const core::RunResult watched = runner.run(prof, c.scheme, 0.97, observers);
+    SchedHooks* const sinks[] = {&obs};
+    const core::RunResult watched = runner.run(prof, c.scheme, 0.97, sinks);
     EXPECT_EQ(obs.commits, rc.warmup + rc.instructions);
     expect_bitwise_identical(watched, runner.run(prof, c.scheme, 0.97));
   }
+}
+
+// The Kanata and Chrome-trace bytes of one short run with Razor replays,
+// branch squashes and wrong-path fetches, pinned by hash: a change to how
+// the pipeline reports its events must leave both files byte-identical.
+TEST(TraceBytes, KanataAndChromeTraceArePinned) {
+  core::RunnerConfig rc;
+  rc.instructions = 4'000;
+  rc.warmup = 1'000;
+  rc.core.model_wrong_path = true;
+  std::ostringstream kanata_out, chrome_out;
+  KanataTraceWriter kanata(&kanata_out, 20'000);
+  obs::ChromeTraceWriter chrome(&chrome_out);
+  TraceObserver trace(&chrome, 20'000);
+  TraceSink* const sinks[] = {&kanata, &trace};
+  const core::RunResult r = core::ExperimentRunner(rc).run(workload::spec2006_profile("bzip2"),
+                                                           scheme_abs(), 0.97, sinks);
+  chrome.finish();
+  ASSERT_GT(r.stats.count("fault.replays"), 0u);
+  ASSERT_GT(r.stats.count("ev.squash"), 0u);
+  ASSERT_GT(r.stats.count("ev.wrongpath_fetch"), 0u);
+  EXPECT_EQ(fnv1a(kanata_out.str()), 0xf7d003ec34b86874ULL);
+  EXPECT_EQ(fnv1a(chrome_out.str()), 0x98e9cc78a346b173ULL);
 }
 
 TEST(Observer, SquashEventsUnderReplay) {
@@ -112,7 +152,7 @@ TEST(Observer, SquashEventsUnderReplay) {
   CoreConfig cfg;
   Pipeline p(cfg, razor, &g, &fm, nullptr);
   CountingObserver obs;
-  p.set_observer(&obs);
+  p.set_check_hooks(&obs);
   const PipelineResult r = p.run(5000);
   EXPECT_EQ(r.committed, 5000u);
   EXPECT_GT(obs.squashed, 0u);
@@ -136,7 +176,7 @@ TEST(Kanata, WellFormedTrace) {
   Pipeline p(cfg, scheme_fault_free(), &src, nullptr, nullptr);
   std::ostringstream trace;
   KanataTraceWriter writer(&trace, 1000);
-  p.set_observer(&writer);
+  p.set_check_hooks(&writer);
   p.run(1'000'000);
 
   const std::string t = trace.str();
@@ -166,7 +206,7 @@ TEST(Kanata, SquashEmitsFlushRetirementsAndRefetchRestartsRows) {
   Pipeline p(cfg, razor, &g, &fm, nullptr);
   std::ostringstream trace;
   KanataTraceWriter writer(&trace, 100'000);
-  p.set_observer(&writer);
+  p.set_check_hooks(&writer);
   const PipelineResult r = p.run(5000);
   ASSERT_GT(r.stats.count("ev.squash"), 0u) << "test needs at least one squash";
 
@@ -205,20 +245,20 @@ TEST(Kanata, MicroReplayHasNoFlushRecords) {
   Pipeline p(cfg, scheme_razor(), &g, &fm, nullptr);
   std::ostringstream trace;
   KanataTraceWriter writer(&trace, 100'000);
-  p.set_observer(&writer);
+  p.set_check_hooks(&writer);
   const PipelineResult r = p.run(3000);
   ASSERT_GT(r.stats.count("fault.replays"), 0u) << "test needs at least one replay";
   EXPECT_EQ(trace.str().find("\t0\t1\n"), std::string::npos) << "no flushed retirements";
 }
 
-TEST(ObserverMux, FansEventsOutToEveryObserver) {
+TEST(SinkList, FansEventsOutToEverySink) {
   const auto prof = workload::spec2006_profile("gobmk");
   workload::TraceGenerator g(prof);
   CoreConfig cfg;
   Pipeline p(cfg, scheme_fault_free(), &g, nullptr, nullptr);
   CountingObserver a, b;
-  p.add_observer(&a);
-  p.add_observer(&b);
+  p.add_check_hooks(&a);
+  p.add_check_hooks(&b);
   const PipelineResult r = p.run(2000);
   EXPECT_EQ(a.commits, r.committed);
   EXPECT_EQ(b.commits, r.committed);
@@ -226,14 +266,14 @@ TEST(ObserverMux, FansEventsOutToEveryObserver) {
   EXPECT_EQ(a.issues, b.issues);
 }
 
-TEST(ObserverMux, SetObserverReplacesInsteadOfAccumulating) {
+TEST(SinkList, SetCheckHooksReplacesInsteadOfAccumulating) {
   const auto prof = workload::spec2006_profile("gobmk");
   workload::TraceGenerator g(prof);
   CoreConfig cfg;
   Pipeline p(cfg, scheme_fault_free(), &g, nullptr, nullptr);
   CountingObserver old_obs, new_obs;
-  p.set_observer(&old_obs);
-  p.set_observer(&new_obs);
+  p.add_check_hooks(&old_obs);
+  p.set_check_hooks(&new_obs);
   const PipelineResult r = p.run(1000);
   EXPECT_EQ(old_obs.commits, 0u) << "replaced observer must see nothing";
   EXPECT_EQ(new_obs.commits, r.committed);
@@ -246,7 +286,7 @@ TEST(Kanata, CapsLogSize) {
   Pipeline p(cfg, scheme_fault_free(), &g, nullptr, nullptr);
   std::ostringstream trace;
   KanataTraceWriter writer(&trace, 50);
-  p.set_observer(&writer);
+  p.set_check_hooks(&writer);
   p.run(5000);
   EXPECT_EQ(writer.instructions_logged(), 50u);
 }

@@ -296,6 +296,45 @@ TEST(RunSnapshot, HugeTrailCountIsRejectedByName) {
   }
 }
 
+TEST(RunSnapshot, OldCheckerChunkIsRejectedByName) {
+  const auto prof = workload::spec2006_profile("bzip2");
+  const core::ExperimentRunner runner(snap_config());
+  const core::RunSnapshot snap = runner.capture(prof, core::scheme_by_name("razor"), 0.97, 1'000);
+  ASSERT_EQ(snap.container().require(core::kChunkChkr).version, 2u);
+  // A version-1 CHKR payload has a different layout; it is refused by its
+  // version before any field is read.
+  snap::Snapshot old;
+  for (const snap::Chunk& c : snap.container().chunks()) {
+    old.add(c.tag, c.tag == core::kChunkChkr ? 1u : c.version, c.payload);
+  }
+  const core::RunSnapshot v1 = core::RunSnapshot::from_container(std::move(old));
+  try {
+    (void)runner.run_from(v1);
+    FAIL() << "a version-1 CHKR chunk was accepted";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("CHKR chunk version 1 (this build reads 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A resumed run's progress meter counts only the commits the resume
+// performs: the final line of a 3,000-commit resume from the 1,500-commit
+// warmup reads 3000/3000, not 4500/4500.
+TEST(RunSnapshot, ResumedProgressCountsOnlyTheResumedCommits) {
+  const auto prof = workload::spec2006_profile("bzip2");
+  core::RunnerConfig rc = snap_config();
+  const core::RunSnapshot snap =
+      core::ExperimentRunner(rc).capture(prof, core::scheme_by_name("abs"), 0.97, rc.warmup);
+  ASSERT_EQ(snap.meta().captured_committed, rc.warmup);
+  rc.progress = true;
+  testing::internal::CaptureStderr();
+  (void)core::ExperimentRunner(rc).run_from(snap);
+  const std::string err = testing::internal::GetCapturedStderr();
+  const std::string last = err.substr(err.rfind('\r') + 1);
+  EXPECT_EQ(last.rfind("[run] 3000/3000 commits done, ", 0), 0u) << last;
+}
+
 TEST(DelayQueueSnapshot, KernelIsPartOfTheWarmupKey) {
   // A warmup captured under the removed delay-queue kernel must never seed
   // an issue-window run: the kernel byte stays in META, is always written as

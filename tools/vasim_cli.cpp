@@ -61,7 +61,7 @@
 #include "src/core/runner.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/core/sweep.hpp"
-#include "src/cpu/observer.hpp"
+#include "src/cpu/trace_sinks.hpp"
 #include "src/obs/cpi.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/obs/timeline.hpp"
@@ -158,7 +158,8 @@ int usage() {
             << "            [--period-min P] [--period-max P]\n"
             << "            [--progress] [--profile]\n"
             << "  vasim run --from-snapshot FILE [--instr N] [--timeline FILE]\n"
-            << "            [--stats] [--csv] [--cpi] [--progress] [--profile]\n"
+            << "            [--timeline-interval K] [--stats] [--csv] [--cpi]\n"
+            << "            [--progress] [--profile]\n"
             << "  vasim sweep --bench <name>|all [--instr N] [--warmup N] [--jobs N]\n"
             << "              [--iq N] [--rob N] [--phys N]\n"
             << "              [--json FILE] [--trace FILE]\n"
@@ -339,7 +340,19 @@ int print_run_report(const Args& args, const core::RunResult& r, const core::Run
   return 0;
 }
 
+/// The options `run --from-snapshot` reads; the snapshot fixes the rest.
+const std::set<std::string> kFromSnapshotOptions = {
+    "cpi", "csv", "from-snapshot", "instr", "profile", "progress", "stats", "timeline",
+    "timeline-interval"};
+
 int cmd_run_from_snapshot(const Args& args) {
+  // An option the resume would ignore is refused by name, before the file
+  // is read.
+  std::string ignored;
+  for (const auto& [key, value] : args.options) {
+    if (kFromSnapshotOptions.count(key) == 0) ignored += (ignored.empty() ? " --" : ", --") + key;
+  }
+  if (!ignored.empty()) throw std::invalid_argument("--from-snapshot does not read" + ignored);
   try {
     const core::RunSnapshot snap = core::RunSnapshot::read_file(args.get("from-snapshot", ""));
     const core::RunMeta& m = snap.meta();
@@ -396,8 +409,8 @@ int cmd_run(const Args& args) {
   obs::ProfilerHub hub;
   if (args.has("profile")) rc.profiler_hub = &hub;
 
-  // Trace writers ride the run as observers; both can watch the same run.
-  std::vector<cpu::PipelineObserver*> observers;
+  // Trace writers ride the run as event sinks; both can watch the same run.
+  std::vector<cpu::SchedHooks*> sinks;
   std::ofstream kanata_out;
   std::optional<cpu::KanataTraceWriter> kanata;
   if (args.has("kanata")) {
@@ -406,7 +419,7 @@ int cmd_run(const Args& args) {
       std::cerr << "cannot open " << args.get("kanata", "") << "\n";
       return 2;
     }
-    observers.push_back(&kanata.emplace(&kanata_out, 20'000));
+    sinks.push_back(&kanata.emplace(&kanata_out, 20'000));
   }
   std::ofstream trace_out;
   std::optional<obs::ChromeTraceWriter> trace;
@@ -417,10 +430,10 @@ int cmd_run(const Args& args) {
       std::cerr << "cannot open " << args.get("trace", "") << "\n";
       return 2;
     }
-    observers.push_back(&trace_obs.emplace(&trace.emplace(&trace_out), 20'000));
+    sinks.push_back(&trace_obs.emplace(&trace.emplace(&trace_out), 20'000));
   }
 
-  const core::RunResult r = core::ExperimentRunner(rc).run(prof, scheme, vdd, observers);
+  const core::RunResult r = core::ExperimentRunner(rc).run(prof, scheme, vdd, sinks);
   std::optional<core::RunResult> baseline;
   if (scheme) {
     // The fault-free comparison run keeps the plain configuration: its
