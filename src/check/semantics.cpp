@@ -522,7 +522,7 @@ std::string SemanticsChecker::report() const {
   std::ostringstream os;
   os << "SemanticsChecker: " << total_violations_ << " violation(s) across "
      << by_invariant_.size() << " invariant(s), " << checks_ << " checks, "
-     << cycles_observed_ << " cycles\n";
+     << cycles_observed_ << " cycles, " << commits_observed_ << " commits\n";
   for (const InvariantCount& c : by_invariant_) {
     os << "  [" << c.invariant << "] x" << c.violations << "\n";
   }

@@ -317,6 +317,19 @@ std::string warmup_key_bytes(const RunnerConfig& cfg, const workload::BenchmarkP
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
+std::string simulation_key_bytes(const RunnerConfig& cfg,
+                                 const workload::BenchmarkProfile& profile,
+                                 const std::optional<cpu::SchemeConfig>& scheme, double vdd) {
+  snap::Writer w;
+  w.put_u64(cfg.instructions);
+  w.put_u64(cfg.timeline_interval);
+  w.put_u64(cfg.snapshot_interval);
+  w.put_str(cfg.snapshot_interval == 0 ? std::string{} : cfg.snapshot_path);
+  const std::vector<unsigned char> bytes = w.take();
+  return std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()) +
+         warmup_key_bytes(cfg, profile, scheme, vdd);
+}
+
 u64 warmup_key(const RunnerConfig& cfg, const workload::BenchmarkProfile& profile,
                const std::optional<cpu::SchemeConfig>& scheme, double vdd) {
   return fnv1a(warmup_key_bytes(cfg, profile, scheme, vdd));

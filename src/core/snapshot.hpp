@@ -140,6 +140,18 @@ TepConfig get_tep_config(snap::Reader& r);
                                            const std::optional<cpu::SchemeConfig>& scheme,
                                            double vdd);
 
+/// Serialized simulation identity: warmup_key_bytes plus every input of the
+/// measured window (`instructions`, `timeline_interval`, `snapshot_interval`
+/// and `snapshot_path`).  Jobs with equal keys simulate identically and
+/// differ at most in the supply they report and its energy line, so
+/// SweepRunner simulates each key once.  Fault-free baselines at different
+/// supplies share a key; EnergyParams, `progress` and `profiler_hub` are
+/// excluded (reporting-only).
+[[nodiscard]] std::string simulation_key_bytes(const RunnerConfig& cfg,
+                                               const workload::BenchmarkProfile& profile,
+                                               const std::optional<cpu::SchemeConfig>& scheme,
+                                               double vdd);
+
 /// FNV-1a hash of warmup_key_bytes (the value stored in META).
 [[nodiscard]] u64 warmup_key(const RunnerConfig& cfg, const workload::BenchmarkProfile& profile,
                              const std::optional<cpu::SchemeConfig>& scheme, double vdd);

@@ -177,6 +177,27 @@ TEST(SemanticsStream, ConformingVtePadFreezeAndStallShiftIsClean) {
 
 // ---- directed mutations (the checker must fire) ---------------------------
 
+TEST(SemanticsStream, ReportCountsObservedCommits) {
+  // A late broadcast fires; the report then names the cycles and commits
+  // the checker saw, so a failure that observed no commits is obvious.
+  Stream s(cpu::scheme_abs());
+  s.begin_cycle();
+  const InstState i0 = s.dispatch(0, isa::OpClass::kIntAlu, 5);
+  s.begin_cycle();
+  s.issue(i0);
+  s.begin_cycle();
+  s.begin_cycle();
+  s.chk.on_tag_broadcast(s.now, i0, 0);
+  s.begin_cycle();
+  s.chk.on_completed(s.now, i0);
+  s.begin_cycle();
+  s.chk.on_committed(s.now, i0);
+  EXPECT_EQ(s.chk.commits_observed(), 1u);
+  EXPECT_EQ(s.chk.cycles_observed(), 6u);
+  ASSERT_FALSE(s.chk.ok());
+  EXPECT_NE(s.chk.report().find("6 cycles, 1 commits"), std::string::npos) << s.chk.report();
+}
+
 TEST(SemanticsStream, MutatedBroadcastTimeFires) {
   Stream s(cpu::scheme_abs());
   s.begin_cycle();
