@@ -47,6 +47,10 @@ struct RunResult {
   double vdd = timing::SupplyPoints::kNominal;
   u64 committed = 0;
   Cycle cycles = 0;
+  /// Cycle of the warmup boundary the measured window starts at (0 without
+  /// warmup).  Not folded into sweep_checksum (it places the window; it is
+  /// not part of it).
+  Cycle warmup_cycles = 0;
   double ipc = 0.0;
   double fault_rate_pct = 0.0;      ///< actual faults / committed * 100
   double replays = 0.0;
@@ -172,7 +176,7 @@ class ExperimentRunner {
   /// whose warmup-relevant fields must match the snapshot's warmup key
   /// (snap::SnapshotError otherwise).  `vdd_override` is only legal for
   /// fault-free snapshots, where the supply affects energy accounting but
-  /// not execution (warm-start sweep sharing across supplies).
+  /// not execution (one fault-free warmup can serve several supplies).
   [[nodiscard]] RunResult run_from(const RunSnapshot& snapshot,
                                    std::optional<double> vdd_override = std::nullopt) const;
 

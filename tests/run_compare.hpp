@@ -18,6 +18,7 @@ inline void expect_bitwise_identical(const core::RunResult& a, const core::RunRe
   EXPECT_EQ(a.vdd, b.vdd);
   EXPECT_EQ(a.committed, b.committed);
   EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.warmup_cycles, b.warmup_cycles);
   EXPECT_EQ(a.ipc, b.ipc);
   EXPECT_EQ(a.fault_rate_pct, b.fault_rate_pct);
   EXPECT_EQ(a.replays, b.replays);
