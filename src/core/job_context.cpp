@@ -116,7 +116,7 @@ RunSnapshot make_snapshot(const RunnerConfig& cfg, const JobContext& ctx,
   s.container().add(kChunkMeta, kMetaChunkVersion, std::move(meta_w));
   snap::Writer pipe_w;
   ctx.pipe->save_state(pipe_w);
-  s.container().add(kChunkPipe, 1, std::move(pipe_w));
+  s.container().add(kChunkPipe, kPipeChunkVersion, std::move(pipe_w));
   snap::Writer gen_w;
   ctx.gen.save_state(gen_w);
   s.container().add(kChunkTgen, 1, std::move(gen_w));
@@ -156,7 +156,7 @@ void restore_into(JobContext& ctx, const RunSnapshot& s) {
     r.expect_done("TGEN chunk");
   }
   {
-    snap::Reader r(require_version(s.container(), kChunkPipe).payload);
+    snap::Reader r(require_version(s.container(), kChunkPipe, kPipeChunkVersion).payload);
     ctx.pipe->restore_state(r);
     r.expect_done("PIPE chunk");
   }

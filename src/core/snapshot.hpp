@@ -46,6 +46,11 @@ inline constexpr u32 kChunkAdpt = snap::chunk_tag("ADPT");
 /// rather than guessed at.
 inline constexpr u32 kMetaChunkVersion = 2;
 
+/// PIPE chunk version this build writes and reads.  v2 stores each cache
+/// line as its tag and a one-byte recency rank; v1 payloads carry a valid
+/// flag and a 64-bit LRU stamp per line and are rejected.
+inline constexpr u32 kPipeChunkVersion = 2;
+
 /// CHKR chunk version this build writes and reads.  v2 dropped the
 /// checker's cross-check of a second, coarser pipeline event bus; v1
 /// payloads still carry those fields and are rejected.

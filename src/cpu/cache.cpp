@@ -1,22 +1,20 @@
 #include "src/cpu/cache.hpp"
 
-#include <stdexcept>
+#include <bit>
+#include <string>
 
 namespace vasim::cpu {
 
-Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
-  const u64 lines = cfg.size_bytes / static_cast<u64>(cfg.line_bytes);
-  if (lines == 0 || cfg.ways <= 0 || lines % static_cast<u64>(cfg.ways) != 0) {
-    throw std::invalid_argument("Cache: size/ways/line mismatch");
-  }
-  num_sets_ = static_cast<int>(lines / static_cast<u64>(cfg.ways));
-  if ((num_sets_ & (num_sets_ - 1)) != 0) {
-    throw std::invalid_argument("Cache: set count must be a power of two");
-  }
-  lines_.resize(static_cast<std::size_t>(num_sets_) * static_cast<std::size_t>(cfg.ways));
-}
-
-Cache::Cache(const CacheConfig& cfg, obs::Registry* reg, std::string_view name) : Cache(cfg) {
+Cache::Cache(const CacheConfig& cfg, obs::Registry* reg, const char* name) : cfg_(cfg) {
+  validate_cache_config(cfg, name);
+  const u64 line_bytes = static_cast<u64>(cfg.line_bytes);
+  const u64 sets = cfg.size_bytes / line_bytes / static_cast<u64>(cfg.ways);
+  ways_ = static_cast<std::size_t>(cfg.ways);
+  line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
+  tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(sets));
+  set_mask_ = sets - 1;
+  tags_.resize(static_cast<std::size_t>(sets) * ways_);
+  ranks_.assign(tags_.size(), kEmpty);
   if (reg != nullptr) {
     const std::string prefix = "cache." + std::string(name);
     hits_c_ = reg->counter(prefix + ".hits");
@@ -24,73 +22,77 @@ Cache::Cache(const CacheConfig& cfg, obs::Registry* reg, std::string_view name) 
   }
 }
 
-std::size_t Cache::set_index(Addr addr) const {
-  return static_cast<std::size_t>((addr / static_cast<u64>(cfg_.line_bytes)) &
-                                  static_cast<u64>(num_sets_ - 1));
+namespace {
+
+/// Makes `way` the most recently used line of the set whose ranks start at
+/// `ranks`: every line more recent than `way` ages by one (a fill, rank
+/// kEmpty, ages every filled line).  Local pointers keep the compiler from
+/// reloading the arrays after each byte store.
+void promote(u8* ranks, std::size_t ways, std::size_t way) {
+  const u8 rank = ranks[way];
+  if (rank == 0) return;
+  for (std::size_t w = 0; w < ways; ++w) ranks[w] += static_cast<u8>(ranks[w] < rank);
+  ranks[way] = 0;
 }
 
-Addr Cache::tag_of(Addr addr) const {
-  return addr / static_cast<u64>(cfg_.line_bytes) / static_cast<u64>(num_sets_);
+}  // namespace
+
+int Cache::find(std::size_t base, Addr tag) const {
+  const Addr* tags = tags_.data() + base;
+  const u8* ranks = ranks_.data() + base;
+  for (std::size_t w = 0; w < ways_; ++w) {
+    if (tags[w] == tag && ranks[w] != kEmpty) return static_cast<int>(w);
+  }
+  return -1;
 }
 
 bool Cache::access(Addr addr) {
-  const std::size_t base = set_index(addr) * static_cast<std::size_t>(cfg_.ways);
-  const Addr tag = tag_of(addr);
-  ++use_counter_;
-  for (int w = 0; w < cfg_.ways; ++w) {
-    Line& line = lines_[base + static_cast<std::size_t>(w)];
-    if (line.valid && line.tag == tag) {
-      line.lru = use_counter_;
-      if (hits_c_.valid()) hits_c_.inc(); else ++hits_;
-      return true;
-    }
+  const std::size_t base = static_cast<std::size_t>((addr >> line_shift_) & set_mask_) * ways_;
+  const Addr tag = addr >> tag_shift_;
+  u8* ranks = ranks_.data() + base;
+  const int hit = find(base, tag);
+  if (hit >= 0) {
+    promote(ranks, ways_, static_cast<std::size_t>(hit));
+    if (hits_c_.valid()) hits_c_.inc(); else ++hits_;
+    return true;
   }
-  // Miss: fill LRU way.
-  std::size_t victim = base;
-  for (int w = 1; w < cfg_.ways; ++w) {
-    const std::size_t i = base + static_cast<std::size_t>(w);
-    if (!lines_[i].valid) {
-      victim = i;
+  // Miss: the first empty way among 1..ways-1, else way 0 while it is
+  // empty, else the LRU way (the highest rank).
+  std::size_t victim = 0;
+  for (std::size_t w = 1; w < ways_; ++w) {
+    if (ranks[w] == kEmpty) {
+      victim = w;
       break;
     }
-    if (lines_[i].lru < lines_[victim].lru) victim = i;
+    if (ranks[w] > ranks[victim]) victim = w;
   }
-  lines_[victim] = Line{tag, true, use_counter_};
+  tags_[base + victim] = tag;
+  promote(ranks, ways_, victim);
   if (misses_c_.valid()) misses_c_.inc(); else ++misses_;
   return false;
 }
 
 bool Cache::contains(Addr addr) const {
-  const std::size_t base = set_index(addr) * static_cast<std::size_t>(cfg_.ways);
-  const Addr tag = tag_of(addr);
-  for (int w = 0; w < cfg_.ways; ++w) {
-    const Line& line = lines_[base + static_cast<std::size_t>(w)];
-    if (line.valid && line.tag == tag) return true;
-  }
-  return false;
+  const std::size_t base = static_cast<std::size_t>((addr >> line_shift_) & set_mask_) * ways_;
+  return find(base, addr >> tag_shift_) >= 0;
 }
 
 void Cache::save_state(snap::Writer& w) const {
-  w.put_u64(lines_.size());
-  for (const Line& line : lines_) {
-    w.put_u64(line.tag);
-    w.put_bool(line.valid);
-    w.put_u64(line.lru);
-  }
-  w.put_u64(use_counter_);
+  w.put_u64(tags_.size());
+  for (const Addr tag : tags_) w.put_u64(tag);
+  w.put_bytes(ranks_.data(), ranks_.size());
   w.put_u64(hits_);
   w.put_u64(misses_);
 }
 
 void Cache::restore_state(snap::Reader& r) {
   const u64 n = r.get_u64();
-  if (n != lines_.size()) throw snap::SnapshotError("cache geometry mismatch");
-  for (Line& line : lines_) {
-    line.tag = r.get_u64();
-    line.valid = r.get_bool();
-    line.lru = r.get_u64();
+  if (n != tags_.size()) throw snap::SnapshotError("cache geometry mismatch");
+  for (Addr& tag : tags_) tag = r.get_u64();
+  r.get_bytes(ranks_.data(), ranks_.size());
+  for (const u8 rank : ranks_) {
+    if (rank != kEmpty && rank >= ways_) throw snap::SnapshotError("cache rank out of range");
   }
-  use_counter_ = r.get_u64();
   hits_ = r.get_u64();
   misses_ = r.get_u64();
 }

@@ -2,7 +2,6 @@
 #ifndef VASIM_CPU_CACHE_HPP
 #define VASIM_CPU_CACHE_HPP
 
-#include <string_view>
 #include <vector>
 
 #include "src/common/stats.hpp"
@@ -14,13 +13,21 @@
 namespace vasim::cpu {
 
 /// One level of tag-only set-associative cache with true-LRU replacement.
+///
+/// Two parallel arrays, `ways` entries per set: the tag of each line and its
+/// recency rank within the set (0 = most recently used, kEmpty = never
+/// filled).  The filled lines of a set hold the ranks 0..k-1, so the LRU line
+/// of a full set has rank ways-1.  An empty set fills ways 1, 2, ...,
+/// ways-1 and then way 0.  Set index and tag are a shift and a mask of the
+/// address.
 class Cache {
  public:
-  explicit Cache(const CacheConfig& cfg);
-  /// Registry-backed construction: hit/miss live in `reg` under
-  /// cache.<name>.hits / cache.<name>.misses, so a pipeline snapshot exports
-  /// them with every other counter.
-  Cache(const CacheConfig& cfg, obs::Registry* reg, std::string_view name);
+  /// `name` labels the geometry errors ("l2.line_bytes ...").  With a
+  /// registry, hit/miss live in `reg` under cache.<name>.hits /
+  /// cache.<name>.misses, so a pipeline snapshot exports them with every
+  /// other counter.
+  explicit Cache(const CacheConfig& cfg, obs::Registry* reg = nullptr,
+                 const char* name = "cache");
 
   /// Looks up `addr`; on miss, fills the line (evicting LRU).  Returns hit.
   bool access(Addr addr);
@@ -28,32 +35,31 @@ class Cache {
   /// Lookup without fill (used by tests and warmup probes).
   [[nodiscard]] bool contains(Addr addr) const;
 
-  /// Serializes line array + LRU clock (+ the standalone hit/miss fallbacks;
-  /// registry-backed counters are snapshotted with the registry).
+  /// Serializes the tag and rank arrays (+ the standalone hit/miss
+  /// fallbacks; registry-backed counters are snapshotted with the registry).
   void save_state(snap::Writer& w) const;
   /// Restores into a cache built from the same CacheConfig; throws on a
-  /// geometry mismatch.
+  /// geometry mismatch or a rank out of range.
   void restore_state(snap::Reader& r);
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
   [[nodiscard]] u64 hits() const { return hits_c_.valid() ? hits_c_.value() : hits_; }
   [[nodiscard]] u64 misses() const { return misses_c_.valid() ? misses_c_.value() : misses_; }
-  [[nodiscard]] int num_sets() const { return num_sets_; }
+  [[nodiscard]] int num_sets() const { return static_cast<int>(set_mask_ + 1); }
 
  private:
-  struct Line {
-    Addr tag = 0;
-    bool valid = false;
-    u64 lru = 0;  ///< higher = more recently used
-  };
+  static constexpr u8 kEmpty = 0xFF;
 
-  [[nodiscard]] std::size_t set_index(Addr addr) const;
-  [[nodiscard]] Addr tag_of(Addr addr) const;
+  /// Way of the set at `base` that holds `tag`, or -1 when none does.
+  [[nodiscard]] int find(std::size_t base, Addr tag) const;
 
   CacheConfig cfg_;
-  int num_sets_;
-  std::vector<Line> lines_;  // num_sets x ways
-  u64 use_counter_ = 0;
+  std::size_t ways_ = 0;
+  unsigned line_shift_ = 0;  ///< log2(line_bytes)
+  unsigned tag_shift_ = 0;   ///< log2(line_bytes * sets)
+  u64 set_mask_ = 0;         ///< sets - 1
+  std::vector<Addr> tags_;  // sets x ways
+  std::vector<u8> ranks_;   // sets x ways
   u64 hits_ = 0;    ///< standalone fallback storage
   u64 misses_ = 0;
   obs::Counter hits_c_, misses_c_;  ///< registry-backed when constructed with one

@@ -8,8 +8,32 @@
 namespace vasim::cpu {
 
 namespace {
-[[nodiscard]] bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
+[[nodiscard]] bool is_pow2(u64 v) { return v > 0 && (v & (v - 1)) == 0; }
+constexpr u64 kMaxCacheBytes = u64{1} << 30;
+constexpr int kMaxCacheWays = 255;
 }  // namespace
+
+void validate_cache_config(const CacheConfig& cfg, const char* level) {
+  const std::string name = std::string("CacheConfig: ") + level + ".";
+  if (cfg.line_bytes <= 0 || !is_pow2(static_cast<u64>(cfg.line_bytes))) {
+    throw std::invalid_argument(name + "line_bytes must be a power of two (got " +
+                                std::to_string(cfg.line_bytes) + ")");
+  }
+  if (cfg.ways < 1 || cfg.ways > kMaxCacheWays) {
+    throw std::invalid_argument(name + "ways out of range [1, " + std::to_string(kMaxCacheWays) +
+                                "] (got " + std::to_string(cfg.ways) + ")");
+  }
+  if (cfg.size_bytes > kMaxCacheBytes) {
+    throw std::invalid_argument(name + "size_bytes exceeds 1 GiB (got " +
+                                std::to_string(cfg.size_bytes) + ")");
+  }
+  const u64 set_bytes = static_cast<u64>(cfg.line_bytes) * static_cast<u64>(cfg.ways);
+  if (cfg.size_bytes % set_bytes != 0 || !is_pow2(cfg.size_bytes / set_bytes)) {
+    throw std::invalid_argument(name + "size_bytes must be a power-of-two number of sets of " +
+                                std::to_string(set_bytes) + " bytes (got " +
+                                std::to_string(cfg.size_bytes) + ")");
+  }
+}
 
 void validate_core_config(const CoreConfig& cfg) {
   // Slot addressing is seq & (next_pow2(rob)-1) over u32 sequence bits; keep
@@ -19,7 +43,7 @@ void validate_core_config(const CoreConfig& cfg) {
     throw std::invalid_argument("CoreConfig: rob_entries out of range [1, " +
                                 std::to_string(kMaxRob) + "]");
   }
-  if (!is_pow2(cfg.iq_entries)) {
+  if (cfg.iq_entries <= 0 || !is_pow2(static_cast<u64>(cfg.iq_entries))) {
     throw std::invalid_argument(
         "CoreConfig: iq_entries must be a power of two (got " +
         std::to_string(cfg.iq_entries) + ")");
@@ -38,6 +62,9 @@ void validate_core_config(const CoreConfig& cfg) {
         ") must be at least arch regs + dispatch_width (" +
         std::to_string(isa::kNumArchRegs + cfg.dispatch_width) + ")");
   }
+  validate_cache_config(cfg.l1i, "l1i");
+  validate_cache_config(cfg.l1d, "l1d");
+  validate_cache_config(cfg.l2, "l2");
 }
 
 }  // namespace vasim::cpu

@@ -17,6 +17,13 @@ struct CacheConfig {
   Cycle latency = 1;
 };
 
+/// Validates one cache level's geometry with errors that name the level and
+/// the field (throws std::invalid_argument): `line_bytes` a power of two,
+/// `ways` in [1, 255] (`Cache` keeps a one-byte recency rank per line and
+/// reserves 0xFF for a line never filled), `size_bytes` at most 1 GiB and a
+/// power-of-two number of sets.  `level` is the name the error uses ("l2").
+void validate_cache_config(const CacheConfig& cfg, const char* level);
+
 /// Whole-core configuration.
 struct CoreConfig {
   // Widths (Core-1 is uniformly 4-wide).
@@ -81,6 +88,7 @@ struct CoreConfig {
 /// std::invalid_argument).  These constraints used to be implicit in
 /// next_pow2_u32 and slot masking; an out-of-range config would silently
 /// degrade (an issue queue larger than the ROB can never fill) or overflow.
+/// Each cache level goes through validate_cache_config.
 /// Called by the Pipeline constructor; callers building configs from
 /// user-supplied knobs (CLI, sweeps) can call it early for a better error.
 void validate_core_config(const CoreConfig& cfg);

@@ -1,6 +1,10 @@
 // Unit tests for CPU components: caches, branch predictor, FU pool.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/common/rng.hpp"
 #include "src/cpu/branch_pred.hpp"
 #include "src/cpu/cache.hpp"
 #include "src/cpu/fu_pool.hpp"
@@ -42,6 +46,162 @@ TEST(Cache, ContainsDoesNotFill) {
   EXPECT_FALSE(c.contains(0x40));
   EXPECT_FALSE(c.contains(0x40));
   EXPECT_EQ(c.misses(), 0u);
+}
+
+// The cache model `Cache` replaced: one record per line with a valid flag
+// and a 64-bit use stamp.  Kept as the reference the rank-based cache must
+// match access for access.
+class StampLruReference {
+ public:
+  explicit StampLruReference(const CacheConfig& cfg)
+      : line_bytes_(static_cast<u64>(cfg.line_bytes)),
+        ways_(static_cast<std::size_t>(cfg.ways)),
+        sets_(cfg.size_bytes / line_bytes_ / ways_),
+        lines_(static_cast<std::size_t>(sets_) * ways_) {}
+
+  bool access(Addr addr) {
+    const std::size_t base = set_index(addr) * ways_;
+    const Addr tag = tag_of(addr);
+    ++use_counter_;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      Line& line = lines_[base + w];
+      if (line.valid && line.tag == tag) {
+        line.lru = use_counter_;
+        ++hits;
+        return true;
+      }
+    }
+    std::size_t victim = base;
+    for (std::size_t w = 1; w < ways_; ++w) {
+      const std::size_t i = base + w;
+      if (!lines_[i].valid) {
+        victim = i;
+        break;
+      }
+      if (lines_[i].lru < lines_[victim].lru) victim = i;
+    }
+    lines_[victim] = Line{tag, true, use_counter_};
+    ++misses;
+    return false;
+  }
+
+  [[nodiscard]] bool contains(Addr addr) const {
+    const std::size_t base = set_index(addr) * ways_;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      const Line& line = lines_[base + w];
+      if (line.valid && line.tag == tag_of(addr)) return true;
+    }
+    return false;
+  }
+
+  /// The payload `Cache::save_state` must write for this state: the tags,
+  /// then each line's recency rank within its set (0 = most recent, 0xFF =
+  /// never filled), then the hit and miss counters.  Equal payloads mean
+  /// equal placement, so this also pins the order in which a set fills.
+  [[nodiscard]] std::vector<unsigned char> expected_state() const {
+    snap::Writer w;
+    w.put_u64(lines_.size());
+    for (const Line& line : lines_) w.put_u64(line.tag);
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      const std::size_t base = i - i % ways_;
+      u8 rank = 0xFF;
+      if (lines_[i].valid) {
+        rank = 0;
+        for (std::size_t w2 = 0; w2 < ways_; ++w2) {
+          const Line& other = lines_[base + w2];
+          if (other.valid && other.lru > lines_[i].lru) ++rank;
+        }
+      }
+      w.put_u8(rank);
+    }
+    w.put_u64(hits);
+    w.put_u64(misses);
+    return w.take();
+  }
+
+  u64 hits = 0;
+  u64 misses = 0;
+
+ private:
+  struct Line {
+    Addr tag = 0;
+    bool valid = false;
+    u64 lru = 0;
+  };
+  [[nodiscard]] std::size_t set_index(Addr addr) const {
+    return static_cast<std::size_t>((addr / line_bytes_) % sets_);
+  }
+  [[nodiscard]] Addr tag_of(Addr addr) const { return addr / line_bytes_ / sets_; }
+
+  u64 line_bytes_;
+  std::size_t ways_;
+  u64 sets_;
+  std::vector<Line> lines_;
+  u64 use_counter_ = 0;
+};
+
+TEST(Cache, MatchesStampLruReference) {
+  // 1-, 2-, 4- and 16-way geometries, two of them a single set.
+  const std::vector<CacheConfig> geometries = {
+      {1024, 1, 64, 1}, {1024, 2, 64, 1}, {4096, 4, 32, 1},
+      {128, 4, 32, 1},  {16 * 1024, 16, 64, 1}, {1024, 16, 64, 1}};
+  for (const CacheConfig& g : geometries) {
+    for (const u64 seed : {1ull, 2ull, 3ull}) {
+      SCOPED_TRACE("size " + std::to_string(g.size_bytes) + ", " + std::to_string(g.ways) +
+                   " ways, seed " + std::to_string(seed));
+      StampLruReference ref(g);
+      Cache cache(g);
+      // Draw from about three times the capacity in lines, so sets fill,
+      // hit and evict; one access in eight goes far away.
+      const u32 span = static_cast<u32>(g.size_bytes / static_cast<u64>(g.line_bytes) * 3);
+      Pcg32 rng(seed);
+      const auto line_bytes = static_cast<u32>(g.line_bytes);
+      const auto next_addr = [&] {
+        const Addr near = static_cast<Addr>(rng.next_below(span)) * line_bytes +
+                          rng.next_below(line_bytes);
+        return rng.next_below(8) == 0 ? rng.next_u64() : near;
+      };
+      constexpr int kAccesses = 20'000;
+      for (int i = 0; i < kAccesses; ++i) {
+        if (i == kAccesses / 2) {
+          // A save/restore in mid-stream continues identically.
+          snap::Writer w;
+          cache.save_state(w);
+          ASSERT_EQ(w.data(), ref.expected_state());
+          Cache restored(g);
+          snap::Reader r(w.data());
+          restored.restore_state(r);
+          ASSERT_TRUE(r.done());
+          cache = restored;
+        }
+        const Addr a = next_addr();
+        ASSERT_EQ(cache.access(a), ref.access(a)) << "access " << i;
+        const Addr probe = next_addr();
+        ASSERT_EQ(cache.contains(probe), ref.contains(probe)) << "probe " << i;
+      }
+      EXPECT_EQ(cache.hits(), ref.hits);
+      EXPECT_EQ(cache.misses(), ref.misses);
+      snap::Writer end;
+      cache.save_state(end);
+      EXPECT_EQ(end.data(), ref.expected_state());
+      EXPECT_GT(ref.hits, 0u);
+      EXPECT_GT(ref.misses, 0u);
+    }
+  }
+}
+
+TEST(Cache, RestoreRejectsRankOutOfRange) {
+  const CacheConfig g{1024, 2, 64, 1};
+  Cache c(g);
+  c.access(0x40);
+  snap::Writer w;
+  c.save_state(w);
+  std::vector<unsigned char> bytes = w.take();
+  // Payload: u64 line count, 16 u64 tags, then one rank byte per line.
+  bytes[8 + 16 * 8] = 2;  // a 2-way set has ranks 0 and 1 only
+  Cache back(g);
+  snap::Reader r(bytes);
+  EXPECT_THROW(back.restore_state(r), snap::SnapshotError);
 }
 
 TEST(MemoryHierarchy, LatenciesCompose) {

@@ -374,6 +374,33 @@ TEST(CoreConfigValidation, NamedErrorsForEachConstraint) {
   CoreConfig phys_small = ok;
   phys_small.phys_regs = 33;
   expect_invalid(phys_small, "arch regs + dispatch_width");
+
+  // Cache geometry: each error names the level and the field.
+  CoreConfig line_zero = ok;
+  line_zero.l2.line_bytes = 0;
+  expect_invalid(line_zero, "l2.line_bytes must be a power of two");
+  CoreConfig line_odd = ok;
+  line_odd.l1i.line_bytes = 48;
+  expect_invalid(line_odd, "l1i.line_bytes must be a power of two");
+  CoreConfig ways_zero = ok;
+  ways_zero.l1d.ways = 0;
+  expect_invalid(ways_zero, "l1d.ways out of range [1, 255]");
+  CoreConfig ways_wide = ok;
+  ways_wide.l2.ways = 256;
+  expect_invalid(ways_wide, "l2.ways out of range [1, 255]");
+  CoreConfig huge = ok;
+  huge.l2.size_bytes = u64{1} << 40;
+  expect_invalid(huge, "l2.size_bytes exceeds 1 GiB");
+  CoreConfig odd_sets = ok;
+  odd_sets.l1d.size_bytes = 3 * 1024;
+  expect_invalid(odd_sets, "l1d.size_bytes must be a power-of-two number of sets");
+  CoreConfig ragged = ok;
+  ragged.l2.size_bytes = 8 * 1024 * 1024 + 64;
+  expect_invalid(ragged, "l2.size_bytes must be a power-of-two number of sets");
+  CoreConfig widest = ok;
+  widest.l2.ways = 255;
+  widest.l2.size_bytes = 255 * 64;
+  EXPECT_NO_THROW(validate_core_config(widest));
 }
 
 TEST(CoreConfigValidation, PipelineConstructorEnforcesValidation) {

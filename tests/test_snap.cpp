@@ -11,6 +11,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -316,6 +317,69 @@ TEST(RunSnapshot, OldCheckerChunkIsRejectedByName) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(RunSnapshot, OldPipelineChunkIsRejectedByName) {
+  const auto prof = workload::spec2006_profile("bzip2");
+  const core::ExperimentRunner runner(snap_config());
+  const core::RunSnapshot snap = runner.capture(prof, core::scheme_by_name("razor"), 0.97, 1'000);
+  ASSERT_EQ(snap.container().require(core::kChunkPipe).version, 2u);
+  // A version-1 PIPE payload stores a valid flag and a 64-bit LRU stamp per
+  // cache line; it is refused by its version before any field is read.
+  snap::Snapshot old;
+  for (const snap::Chunk& c : snap.container().chunks()) {
+    old.add(c.tag, c.tag == core::kChunkPipe ? 1u : c.version, c.payload);
+  }
+  const core::RunSnapshot v1 = core::RunSnapshot::from_container(std::move(old));
+  try {
+    (void)runner.run_from(v1);
+    FAIL() << "a version-1 PIPE chunk was accepted";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("PIPE chunk version 1 (this build reads 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Rewrites the L2 geometry in a snapshot's META, re-keys it and resumes it
+// the way `vasim run --from-snapshot` does: with a runner rebuilt from META.
+// The hostile geometry must be refused by name, not crash the resume.
+void expect_l2_rejected_by_name(void (*edit)(cpu::CacheConfig&), const std::string& needle) {
+  const auto prof = workload::spec2006_profile("bzip2");
+  const core::RunSnapshot snap =
+      core::ExperimentRunner(snap_config()).capture(prof, std::nullopt, 0.97, 1'000);
+  core::RunMeta m = snap.meta();
+  edit(m.core.l2);
+  core::RunnerConfig rc = snap_config();
+  rc.core = m.core;
+  m.warmup_key = core::warmup_key(rc, m.profile, std::nullopt, m.vdd);
+  snap::Snapshot bad;
+  for (const snap::Chunk& c : snap.container().chunks()) {
+    if (c.tag == core::kChunkMeta) {
+      snap::Writer w;
+      core::put_run_meta(w, m);
+      bad.add(c.tag, c.version, w.take());
+    } else {
+      bad.add(c.tag, c.version, c.payload);
+    }
+  }
+  const core::RunSnapshot hostile = core::RunSnapshot::from_container(std::move(bad));
+  try {
+    (void)core::ExperimentRunner(rc).run_from(hostile);
+    FAIL() << "a hostile L2 geometry was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(RunSnapshot, ZeroCacheLineIsRejectedByName) {
+  expect_l2_rejected_by_name([](cpu::CacheConfig& l2) { l2.line_bytes = 0; },
+                             "l2.line_bytes must be a power of two");
+}
+
+TEST(RunSnapshot, HugeCacheIsRejectedByName) {
+  expect_l2_rejected_by_name([](cpu::CacheConfig& l2) { l2.size_bytes = u64{1} << 40; },
+                             "l2.size_bytes exceeds 1 GiB");
 }
 
 // A resumed run's progress meter counts only the commits the resume
