@@ -110,13 +110,6 @@ Bus Netlist::bus_xor(const Bus& a, const Bus& b) {
   return out;
 }
 
-Bus Netlist::bus_inv(const Bus& a) {
-  Bus out;
-  out.reserve(a.size());
-  for (const SigId s : a) out.push_back(inv(s));
-  return out;
-}
-
 Bus Netlist::bus_mux(const Bus& lo, const Bus& hi, SigId sel) {
   check_same_width(lo, hi);
   Bus out;

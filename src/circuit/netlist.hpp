@@ -76,7 +76,6 @@ class Netlist {
   Bus bus_and(const Bus& a, const Bus& b);
   Bus bus_or(const Bus& a, const Bus& b);
   Bus bus_xor(const Bus& a, const Bus& b);
-  Bus bus_inv(const Bus& a);
   Bus bus_mux(const Bus& lo, const Bus& hi, SigId sel);
   /// Ripple-carry add; returns sum bus, carry-out in *cout when non-null.
   Bus ripple_add(const Bus& a, const Bus& b, SigId carry_in, SigId* cout = nullptr);

@@ -36,7 +36,6 @@ void Histogram::add(double value, u64 weight) {
   }
   total_ += weight;
   sum_ += value * static_cast<double>(weight);
-  sumsq_ += value * value * static_cast<double>(weight);
   if (value < lo_) {
     underflow_ += weight;
   } else if (value >= hi_) {
@@ -46,13 +45,6 @@ void Histogram::add(double value, u64 weight) {
     if (idx >= counts_.size()) idx = counts_.size() - 1;
     counts_[idx] += weight;
   }
-}
-
-double Histogram::stddev() const {
-  if (total_ < 2) return 0.0;
-  const double n = static_cast<double>(total_);
-  const double var = (sumsq_ - sum_ * sum_ / n) / (n - 1.0);
-  return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
 double Histogram::quantile(double q) const {

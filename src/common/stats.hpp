@@ -65,7 +65,6 @@ class Histogram {
 
   [[nodiscard]] u64 total() const { return total_; }
   [[nodiscard]] double mean() const { return total_ ? sum_ / static_cast<double>(total_) : 0.0; }
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return total_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return total_ ? max_ : 0.0; }
   /// Approximate quantile from bucket interpolation, q in [0,1].
@@ -82,7 +81,6 @@ class Histogram {
   u64 overflow_ = 0;
   u64 total_ = 0;
   double sum_ = 0.0;
-  double sumsq_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

@@ -21,7 +21,8 @@ const snap::Chunk& require_version(const snap::Snapshot& c, u32 tag, u32 version
 }  // namespace
 
 JobContext::JobContext(const RunnerConfig& cfg, const workload::BenchmarkProfile& profile,
-                       const std::optional<cpu::SchemeConfig>& scheme_opt, double vdd)
+                       const std::optional<cpu::SchemeConfig>& scheme_opt, double vdd,
+                       isa::InstructionSource* source)
     : gen(profile), vdd(vdd) {
   fault_free = !scheme_opt.has_value();
   scheme = fault_free ? cpu::scheme_fault_free() : *scheme_opt;
@@ -51,7 +52,8 @@ JobContext::JobContext(const RunnerConfig& cfg, const workload::BenchmarkProfile
       }
     }
   }
-  pipe.emplace(cfg.core, scheme, &gen, fault_free ? nullptr : &*fm, predictor);
+  pipe.emplace(cfg.core, scheme, source != nullptr ? source : &gen,
+               fault_free ? nullptr : &*fm, predictor);
   // Attach before the timeline is built so its ctor freezes a column set
   // that includes the dvfs counters.
   if (clock) pipe->set_clock(&*clock);

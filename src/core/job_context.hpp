@@ -49,6 +49,7 @@ class CommitTrailObserver final : public cpu::SchedHooks {
 /// Everything one simulation owns, constructed in place.  Never moved: the
 /// pipeline holds pointers into gen/fm/predictor.  `scheme_opt == nullopt`
 /// selects the fault-free-baseline wiring (no fault model, no predictors).
+/// A non-null `source` (non-owning) feeds the pipeline instead of `gen`.
 struct JobContext {
   workload::TraceGenerator gen;  ///< also holds the job's profile
   double vdd;                    ///< the supply the job executes at
@@ -75,7 +76,8 @@ struct JobContext {
   std::optional<obs::Profiler> profiler;
 
   JobContext(const RunnerConfig& cfg, const workload::BenchmarkProfile& profile,
-             const std::optional<cpu::SchemeConfig>& scheme_opt, double vdd);
+             const std::optional<cpu::SchemeConfig>& scheme_opt, double vdd,
+             isa::InstructionSource* source = nullptr);
 
   JobContext(const JobContext&) = delete;
   JobContext& operator=(const JobContext&) = delete;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "src/core/job_context.hpp"
@@ -127,8 +128,14 @@ double normalized_to_ep(double scheme_pct, double ep_pct) {
 
 RunResult ExperimentRunner::run(const workload::BenchmarkProfile& profile,
                                 const std::optional<cpu::SchemeConfig>& scheme, double vdd,
-                                std::span<cpu::SchedHooks* const> sinks) const {
-  JobContext ctx(cfg_, profile, scheme, vdd);
+                                std::span<cpu::SchedHooks* const> sinks,
+                                isa::InstructionSource* source) const {
+  if (source != nullptr && cfg_.snapshot_interval != 0) {
+    throw std::invalid_argument(
+        "ExperimentRunner::run: an external instruction source cannot write snapshots "
+        "(snapshot_interval != 0); a snapshot holds the profile generator's state");
+  }
+  JobContext ctx(cfg_, profile, scheme, vdd, source);
   for (cpu::SchedHooks* h : sinks) ctx.pipe->add_check_hooks(h);
   return measure(cfg_, ctx, nullptr, vdd);
 }

@@ -152,10 +152,16 @@ class ExperimentRunner {
 
   /// Runs one (benchmark, scheme, supply) combination.  `sinks` (e.g.
   /// trace writers; non-owning) watch the run's pipeline events without
-  /// changing its result.
+  /// changing its result.  A non-null `source` (non-owning: a recorded
+  /// trace, a program on the functional core) replaces the profile's
+  /// generator as the instruction stream; the profile still names the job
+  /// and calibrates its fault model.  Snapshots hold the generator's state,
+  /// so a source with a non-zero snapshot_interval throws
+  /// std::invalid_argument before anything is simulated.
   [[nodiscard]] RunResult run(const workload::BenchmarkProfile& profile,
                               const std::optional<cpu::SchemeConfig>& scheme, double vdd,
-                              std::span<cpu::SchedHooks* const> sinks = {}) const;
+                              std::span<cpu::SchedHooks* const> sinks = {},
+                              isa::InstructionSource* source = nullptr) const;
 
   // ---- snapshot / warm-start API (src/core/snapshot.hpp) -------------------
 

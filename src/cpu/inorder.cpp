@@ -101,25 +101,15 @@ bool InOrderPipeline::step_one() {
 }
 
 PipelineResult InOrderPipeline::run(u64 max_committed, u64 warmup_committed) {
-  const auto note_timeline = [&] {
-    if (timeline_ != nullptr && committed_ >= timeline_next_) {
-      timeline_->sample(now_, committed_);
-      timeline_next_ = (committed_ / timeline_interval_ + 1) * timeline_interval_;
-    }
-  };
   while (committed_ < warmup_committed && step_one()) {
-    note_timeline();
   }
   const StatSet base = stats_;
   const u64 base_committed = committed_;
   const Cycle base_cycles = now_;
-  if (timeline_ != nullptr) timeline_->mark_measurement(now_, committed_);
 
   const u64 target = warmup_committed + max_committed;
   while (committed_ < target && step_one()) {
-    note_timeline();
   }
-  if (timeline_ != nullptr) timeline_->finalize(now_, committed_);
 
   PipelineResult r;
   r.committed = committed_ - base_committed;
@@ -128,26 +118,6 @@ PipelineResult InOrderPipeline::run(u64 max_committed, u64 warmup_committed) {
   memory_.export_stats(r.stats);
   r.stats.inc("cycles", r.cycles);
   return r;
-}
-
-void InOrderPipeline::save_state(snap::Writer& w) const {
-  w.put_u64(now_);
-  w.put_u64(fetch_ready_);
-  for (int a = 0; a < isa::kNumArchRegs; ++a) w.put_u64(reg_ready_[a]);
-  w.put_u64(committed_);
-  snap::put_statset(w, stats_);
-  memory_.save_state(w);
-  bpred_.save_state(w);
-}
-
-void InOrderPipeline::restore_state(snap::Reader& r) {
-  now_ = r.get_u64();
-  fetch_ready_ = r.get_u64();
-  for (int a = 0; a < isa::kNumArchRegs; ++a) reg_ready_[a] = r.get_u64();
-  committed_ = r.get_u64();
-  stats_ = snap::get_statset(r);
-  memory_.restore_state(r);
-  bpred_.restore_state(r);
 }
 
 }  // namespace vasim::cpu

@@ -45,23 +45,6 @@ class InOrderPipeline {
   [[nodiscard]] u64 committed() const { return committed_; }
   [[nodiscard]] Cycle now() const { return now_; }
 
-  /// Attaches an interval sampler (null detaches).  The in-order core has
-  /// no metrics registry, so the timeline carries only the cycle/commit
-  /// columns -- i.e. the IPC series; build it with Timeline(cfg, nullptr).
-  void set_timeline(obs::Timeline* timeline, u64 interval) {
-    timeline_ = (timeline != nullptr && interval > 0) ? timeline : nullptr;
-    timeline_interval_ = interval;
-    timeline_next_ =
-        timeline_ != nullptr ? (committed_ / interval + 1) * interval : ~0ULL;
-  }
-
-  /// Serializes clock, scoreboard, caches, branch predictor and stats.  The
-  /// restored instance continues with run(max, 0): run() captures its
-  /// measurement base at entry when warmup is zero, so windowing matches the
-  /// uninterrupted run exactly.
-  void save_state(snap::Writer& w) const;
-  void restore_state(snap::Reader& r);
-
  private:
   /// Executes one instruction; returns false when the source drains.
   bool step_one();
@@ -80,10 +63,6 @@ class InOrderPipeline {
   Cycle reg_ready_[isa::kNumArchRegs] = {};
   u64 committed_ = 0;
   StatSet stats_;
-
-  obs::Timeline* timeline_ = nullptr;
-  u64 timeline_interval_ = 0;
-  u64 timeline_next_ = ~0ULL;
 };
 
 }  // namespace vasim::cpu

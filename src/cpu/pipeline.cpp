@@ -174,12 +174,10 @@ void Pipeline::broadcast(InstState& is) {
 void Pipeline::process_events() {
   // Drain the one bucket due this cycle (the stored key advances by exactly
   // one per scheduling step; stall cycles move the shift instead).
-  if (obs::kProfHooksEnabled && profiler_ != nullptr) {
+  {
     // Sub-phase of kExecute (the enclosing scope): how much of event
     // processing is the wheel pop itself.
     const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kEventWheel);
-    due_n_ = wheel_.pop_due(now_ - event_shift_, due_);
-  } else {
     due_n_ = wheel_.pop_due(now_ - event_shift_, due_);
   }
   // Deterministic order: broadcasts, completes, EP stalls, replays; then age.
@@ -581,8 +579,7 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
   if (faults_enabled() && !is.safe_mode && !is.wrong_path) {
     // Profiled as a sub-phase of kSelect (this runs inside the select
     // stage): how much wall-time the fault oracle costs.
-    const obs::Profiler::Scope prof(
-        obs::kProfHooksEnabled ? profiler_ : nullptr, obs::ProfPhase::kFaultCheck);
+    const obs::Profiler::Scope prof(profiler_, obs::ProfPhase::kFaultCheck);
     const timing::FaultClass cls = isa::is_mem(is.di.op) ? timing::FaultClass::kMemLike
                                                          : timing::FaultClass::kAluLike;
     const timing::FaultDecision d =
@@ -874,34 +871,25 @@ bool Pipeline::step() {
   mem_blocked_next_ = false;
 
   fire([&](SchedHooks& h) { h.on_cycle_start(now_, slots_frozen_now_, mem_blocked_now_); });
-  if (obs::kProfHooksEnabled && profiler_ != nullptr) {
-    // The profiled stage sequence is a duplicate so the unprofiled path
-    // stays exactly as it was (zero-cost-when-off, like the check hooks).
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kExecute);
-      process_events();
-    }
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kCommit);
-      commit_stage();
-    }
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kSelect);
-      select_stage();
-    }
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kDispatch);
-      dispatch_stage();
-    }
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kFetch);
-      fetch_stage();
-    }
-  } else {
+  // One scope per stage; a detached profiler reads no clock.
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kExecute);
     process_events();
+  }
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kCommit);
     commit_stage();
+  }
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kSelect);
     select_stage();
+  }
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kDispatch);
     dispatch_stage();
+  }
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kFetch);
     fetch_stage();
   }
 
@@ -969,14 +957,6 @@ StatSet Pipeline::snapshot_stats() const {
   s.inc("branch.mispredicts_total", bpred_.mispredicts());
   s.inc("cycles", now_);
   return s;
-}
-
-obs::CpiStack Pipeline::cpi_stack() const {
-  obs::CpiStack st;
-  for (int i = 0; i < obs::kNumCpiCauses; ++i) {
-    st.slots[static_cast<std::size_t>(i)] = c_cpi_[static_cast<std::size_t>(i)].value();
-  }
-  return st;
 }
 
 PipelineResult Pipeline::run(u64 max_committed, u64 warmup_committed) {

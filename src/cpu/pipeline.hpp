@@ -118,8 +118,6 @@ class Pipeline {
   [[nodiscard]] StatSet snapshot_stats() const;
   /// The zero-lookup metric registry backing the hot-path counters.
   [[nodiscard]] const obs::Registry& registry() const { return registry_; }
-  /// Cumulative CPI stack (commit-slot attribution) since construction.
-  [[nodiscard]] obs::CpiStack cpi_stack() const;
 
   /// Replaces every attached event sink with `hooks` (null detaches them
   /// all).  Non-owning; the pipeline never reads back from a sink.
@@ -153,11 +151,8 @@ class Pipeline {
   void set_clock(adapt::ClockDomain* clock);
   [[nodiscard]] adapt::ClockDomain* clock() const { return clock_; }
 
-  /// Attaches the wall-time self-profiler (null detaches).  Non-owning; a
-  /// no-op in builds with VASIM_PROF_HOOKS=0.
-  void set_profiler(obs::Profiler* profiler) {
-    profiler_ = obs::kProfHooksEnabled ? profiler : nullptr;
-  }
+  /// Attaches the wall-time self-profiler (null detaches).  Non-owning.
+  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
   [[nodiscard]] obs::Profiler* profiler() const { return profiler_; }
 
   [[nodiscard]] const MemoryHierarchy& memory() const { return memory_; }

@@ -1,9 +1,20 @@
 // Unit tests for the core contribution layer: TEP, energy model, runner.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "src/check/semantics.hpp"
 #include "src/core/energy.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/tep.hpp"
+#include "src/isa/assembler.hpp"
+#include "src/isa/executor.hpp"
+#include "src/workload/trace_file.hpp"
+#include "src/workload/trace_generator.hpp"
+#include "tests/run_compare.hpp"
 
 namespace vasim::core {
 namespace {
@@ -229,6 +240,109 @@ TEST(Runner, DeterministicResults) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.replays, b.replays);
   EXPECT_DOUBLE_EQ(a.energy.edp, b.energy.edp);
+}
+
+// The profile's own generator and any other source of the same stream are
+// the same job: a fresh generator, or a recorded trace read back from its
+// text form, reproduces the source-less run bit for bit.
+TEST(ExperimentRunner, ExternalSourceMatchesGeneratedRun) {
+  RunnerConfig rc;
+  rc.instructions = 6000;
+  rc.warmup = 3000;
+  const ExperimentRunner runner(rc);
+  for (const char* name : {"gcc", "mcf", "sjeng"}) {
+    const workload::BenchmarkProfile prof = workload::spec2006_profile(name);
+    // Slack past the last commit covers what fetch reads ahead of it.
+    workload::TraceGenerator recorder(prof);
+    std::stringstream file;
+    workload::write_trace(file,
+                          workload::record_trace(recorder, rc.warmup + rc.instructions + 4096));
+    const std::string bytes = file.str();
+    for (const cpu::SchemeConfig& scheme :
+         {cpu::scheme_razor(), cpu::scheme_abs(), cpu::scheme_cds()}) {
+      SCOPED_TRACE(std::string(name) + "/" + scheme.name);
+      const RunResult generated = runner.run(prof, scheme, 0.97);
+      workload::TraceGenerator fresh(prof);
+      expect_bitwise_identical(runner.run(prof, scheme, 0.97, {}, &fresh), generated);
+      std::istringstream in(bytes);
+      workload::TraceFileSource replayed(in);
+      expect_bitwise_identical(runner.run(prof, scheme, 0.97, {}, &replayed), generated);
+    }
+  }
+}
+
+// A snapshot stores the profile generator's state, so periodic snapshots of
+// a run fed by another source would restore the wrong stream: refused by
+// name before anything is simulated or written.
+TEST(ExperimentRunner, ExternalSourceRefusesPeriodicSnapshots) {
+  RunnerConfig rc;
+  rc.instructions = 2000;
+  rc.warmup = 0;
+  rc.snapshot_interval = 1000;
+  rc.snapshot_path = ::testing::TempDir() + "external-source-";
+  const auto prof = workload::spec2006_profile("bzip2");
+  workload::TraceGenerator source(prof);
+  try {
+    (void)ExperimentRunner(rc).run(prof, cpu::scheme_abs(), 0.97, {}, &source);
+    FAIL() << "a run with an external source and periodic snapshots was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("source"), std::string::npos) << what;
+    EXPECT_NE(what.find("snapshot_interval"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(std::filesystem::exists(rc.snapshot_path + "1000.vsnap"));
+}
+
+// A program on the functional core runs through the runner exactly as on a
+// hand-wired pipeline with the same fault model, TEP and checker.
+TEST(ExperimentRunner, FunctionalCoreSourceMatchesPipelineRun) {
+  const isa::Program prog = isa::assemble(R"(
+      lui  r10, 0x10
+      addi r1, r0, 0
+      addi r2, r0, 120
+    loop:
+      ld   r3, 8(r10)
+      add  r4, r3, r1
+      mul  r5, r4, r2
+      st   r5, 16(r10)
+      xor  r6, r5, r1
+      addi r1, r1, 1
+      blt  r1, r2, loop
+      halt
+  )");
+  constexpr u64 kSeed = 11;
+  workload::BenchmarkProfile prof;
+  prof.seed = kSeed;
+  prof.fr_high_pct = 10.0;
+  prof.fr_low_pct = 3.0;
+  RunnerConfig rc;
+  rc.instructions = 100'000;  // past the program's end: the source drains
+  rc.warmup = 0;
+  rc.core.model_wrong_path = true;
+  rc.check_semantics = true;
+  for (const cpu::SchemeConfig& scheme :
+       {cpu::scheme_razor(), cpu::scheme_error_padding(), cpu::scheme_abs()}) {
+    SCOPED_TRACE(scheme.name);
+    isa::FunctionalCore runner_src(&prog);
+    const RunResult r = ExperimentRunner(rc).run(prof, scheme, 0.97, {}, &runner_src);
+
+    const timing::FaultModel fm(timing::PathModelConfig{kSeed, 0.10, 0.03}, 0.97);
+    TimingErrorPredictor tep({}, &fm.environment());
+    isa::FunctionalCore pipe_src(&prog);
+    cpu::Pipeline pipe(rc.core, scheme, &pipe_src, &fm, scheme.use_predictor ? &tep : nullptr);
+    check::SemanticsChecker checker(rc.core, scheme);
+    checker.attach(pipe);
+    const cpu::PipelineResult pr = pipe.run(rc.instructions);
+    ASSERT_TRUE(checker.ok()) << checker.report();
+
+    EXPECT_EQ(r.committed, 844u);  // 3 + 120 iterations of 7 + halt
+    EXPECT_GT(r.stats.count("fault.actual"), 0u);
+    EXPECT_EQ(r.committed, pr.committed);
+    EXPECT_EQ(r.cycles, pr.cycles);
+    EXPECT_EQ(r.stats.counters(), pr.stats.counters());
+    EXPECT_EQ(r.cpi.slots, pr.cpi.slots);
+    EXPECT_EQ(r.checker_checks, checker.checks());
+  }
 }
 
 }  // namespace

@@ -25,16 +25,11 @@
 #include <string>
 #include <vector>
 
-#include "src/check/semantics.hpp"
 #include "src/check/shrink.hpp"
 #include "src/core/runner.hpp"
-#include "src/core/tep.hpp"
-#include "src/cpu/pipeline.hpp"
 #include "src/isa/assembler.hpp"
 #include "src/isa/executor.hpp"
-#include "src/timing/fault_model.hpp"
 #include "src/workload/profiles.hpp"
-#include "src/workload/trace_generator.hpp"
 #include "tests/fuzz_util.hpp"
 
 using namespace vasim;
@@ -107,16 +102,12 @@ std::optional<std::string> config_failure(u64 seed, const Overrides& ov, RunIden
                 {"width", static_cast<u64>(cfg.issue_width)}};
   }
 
-  timing::PathModelConfig pcfg{prof.seed, prof.fr_high_pct / 100.0 * prof.fr_calib_high,
-                               prof.fr_low_pct / 100.0 * prof.fr_calib_low};
-  const timing::FaultModel fm(pcfg, vdd);
-  core::TimingErrorPredictor tep({}, &fm.environment());
-  workload::TraceGenerator gen(prof);
-  cpu::Pipeline p(cfg, scheme, &gen, &fm, scheme.use_predictor ? &tep : nullptr);
-  check::SemanticsChecker checker(cfg, scheme);
-  checker.attach(p);
-  const cpu::PipelineResult r = p.run(instr, warmup);
-  if (!checker.ok()) return checker.report();
+  core::RunnerConfig rc;
+  rc.instructions = instr;
+  rc.warmup = warmup;
+  rc.core = cfg;
+  rc.check_semantics = true;  // a violation throws with the checker's report
+  const core::RunResult r = core::ExperimentRunner(rc).run(prof, scheme, vdd);
   if (r.committed != instr) {
     return "committed " + std::to_string(r.committed) + " != target " + std::to_string(instr);
   }
@@ -177,17 +168,19 @@ std::optional<std::string> program_failure(u64 seed, const Overrides& ov, RunIde
     id->dims = {{"loops", loop_cap}, {"trip", trip_cap}, {"body", body_cap}};
   }
 
-  timing::PathModelConfig pcfg{seed, 0.10, 0.03};
-  const timing::FaultModel fm(pcfg, 0.97);
-  core::TimingErrorPredictor tep({}, &fm.environment());
+  // The profile only names the job and calibrates its fault model: 10% / 3%
+  // faulty paths at 0.97 / 1.04 V, seeded by the probe seed.
+  workload::BenchmarkProfile prof;
+  prof.seed = seed;
+  prof.fr_high_pct = 10.0;
+  prof.fr_low_pct = 3.0;
+  core::RunnerConfig rc;
+  rc.instructions = 10 * dynamic_count;
+  rc.warmup = 0;
+  rc.core.model_wrong_path = rng.next_bool(0.4);
+  rc.check_semantics = true;  // a violation throws with the checker's report
   isa::FunctionalCore src(&prog);
-  cpu::CoreConfig cfg;
-  cfg.model_wrong_path = rng.next_bool(0.4);
-  cpu::Pipeline pipe(cfg, scheme, &src, &fm, scheme.use_predictor ? &tep : nullptr);
-  check::SemanticsChecker checker(cfg, scheme);
-  checker.attach(pipe);
-  const cpu::PipelineResult r = pipe.run(10 * dynamic_count);
-  if (!checker.ok()) return checker.report();
+  const core::RunResult r = core::ExperimentRunner(rc).run(prof, scheme, 0.97, {}, &src);
   if (r.committed != dynamic_count) {
     return "committed " + std::to_string(r.committed) + " != architectural " +
            std::to_string(dynamic_count);

@@ -32,8 +32,12 @@
 //       per-worker and whole-sweep simulator self-profiles.
 //   vasim record --bench <name> --out FILE [--instr N]
 //       Capture a committed-path trace to a vasim-trace file.
-//   vasim replay --trace FILE --scheme <name> [--vdd V] [--instr N]
-//       Drive the pipeline from a recorded (or external) trace file.
+//   vasim replay --trace FILE --scheme <name> [--seed S] [run's options]
+//       Run a recorded (or external) trace file, looped, instead of a
+//       profile's generator, and print `vasim run`'s report.  It takes every
+//       `vasim run` option except --bench, --from-snapshot and the Chrome
+//       trace (--trace names the input); --seed (default 2013) seeds the
+//       fault model, calibrated to 8% / 2% faults at 0.97 / 1.04 V.
 //   vasim snap save --bench <name> --scheme <name> --out FILE [--vdd V]
 //                   [--instr N] [--warmup N] [--at N] [--predictor tep|mre|tvp]
 //       Simulate to the --at commit point (default: end of warmup) and write
@@ -47,7 +51,6 @@
 #include <iostream>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -166,6 +169,9 @@ int usage() {
             << "              [--timeline-interval K] [--dvfs POLICY] [--epoch N]\n"
             << "              [--period-min P] [--period-max P] [--cpi] [--progress]\n"
             << "              [--reuse-warmup] [--profile]\n"
+            << "  vasim record --bench <name> --out FILE [--instr N]\n"
+            << "  vasim replay --trace FILE --scheme <name> [--seed S] [--vdd V]\n"
+            << "               [run's options but --bench, --from-snapshot]\n"
             << "  vasim snap save --bench <name> --scheme <name> --out FILE [--vdd V]\n"
             << "                  [--instr N] [--warmup N] [--at N] [--predictor tep|mre|tvp]\n"
             << "  vasim snap info FILE\n";
@@ -345,14 +351,25 @@ const std::set<std::string> kFromSnapshotOptions = {
     "cpi", "csv", "from-snapshot", "instr", "profile", "progress", "stats", "timeline",
     "timeline-interval"};
 
-int cmd_run_from_snapshot(const Args& args) {
-  // An option the resume would ignore is refused by name, before the file
-  // is read.
+/// The options `replay` reads: `run`'s, except that --trace names the input
+/// file and --seed seeds the fault model.
+const std::set<std::string> kReplayOptions = {
+    "cpi", "csv", "dvfs", "epoch", "instr", "iq", "kanata", "period-max", "period-min", "phys",
+    "predictor", "profile", "progress", "rob", "scheme", "seed", "stats", "timeline",
+    "timeline-interval", "trace", "vdd", "warmup"};
+
+/// Refuses by name, before any file is read, every option outside `reads`:
+/// `what` would ignore it.
+void refuse_unread(const Args& args, const std::set<std::string>& reads, const std::string& what) {
   std::string ignored;
   for (const auto& [key, value] : args.options) {
-    if (kFromSnapshotOptions.count(key) == 0) ignored += (ignored.empty() ? " --" : ", --") + key;
+    if (reads.count(key) == 0) ignored += (ignored.empty() ? " --" : ", --") + key;
   }
-  if (!ignored.empty()) throw std::invalid_argument("--from-snapshot does not read" + ignored);
+  if (!ignored.empty()) throw std::invalid_argument(what + " does not read" + ignored);
+}
+
+int cmd_run_from_snapshot(const Args& args) {
+  refuse_unread(args, kFromSnapshotOptions, "--from-snapshot");
   try {
     const core::RunSnapshot snap = core::RunSnapshot::read_file(args.get("from-snapshot", ""));
     const core::RunMeta& m = snap.meta();
@@ -383,9 +400,13 @@ int cmd_run_from_snapshot(const Args& args) {
   }
 }
 
-int cmd_run(const Args& args) {
-  if (args.has("from-snapshot")) return cmd_run_from_snapshot(args);
-  if (!args.has("bench") || !args.has("scheme")) return usage();
+/// What `run` and `replay` share once the workload is chosen: the
+/// --scheme run, its fault-free comparison, the trace sinks and the report.
+/// Non-null `source` and `base_source` feed the two runs instead of the
+/// profile's generator; --trace then names that input, so no Chrome trace
+/// is written.
+int run_and_report(const Args& args, const workload::BenchmarkProfile& prof,
+                   isa::InstructionSource* source, isa::InstructionSource* base_source) {
   const std::string scheme_name = args.get("scheme", "");
   std::optional<cpu::SchemeConfig> scheme = core::scheme_by_name(scheme_name);
   if (!scheme) {
@@ -393,13 +414,6 @@ int cmd_run(const Args& args) {
     return 2;
   }
   if (scheme_name == "fault-free") scheme.reset();  // the baseline wiring: no fault model
-  workload::BenchmarkProfile prof;
-  try {
-    prof = workload::spec2006_profile(args.get("bench", ""));
-  } catch (const std::out_of_range& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
   const double vdd = opt_double(args, "vdd", 0.97);
   core::RunnerConfig rc = runner_config(args);
   if (args.has("timeline") && rc.timeline_interval == 0) {
@@ -424,7 +438,7 @@ int cmd_run(const Args& args) {
   std::ofstream trace_out;
   std::optional<obs::ChromeTraceWriter> trace;
   std::optional<cpu::TraceObserver> trace_obs;
-  if (args.has("trace")) {
+  if (source == nullptr && args.has("trace")) {
     trace_out.open(args.get("trace", ""));
     if (!trace_out) {
       std::cerr << "cannot open " << args.get("trace", "") << "\n";
@@ -433,7 +447,7 @@ int cmd_run(const Args& args) {
     sinks.push_back(&trace_obs.emplace(&trace.emplace(&trace_out), 20'000));
   }
 
-  const core::RunResult r = core::ExperimentRunner(rc).run(prof, scheme, vdd, sinks);
+  const core::RunResult r = core::ExperimentRunner(rc).run(prof, scheme, vdd, sinks, source);
   std::optional<core::RunResult> baseline;
   if (scheme) {
     // The fault-free comparison run keeps the plain configuration: its
@@ -442,7 +456,7 @@ int cmd_run(const Args& args) {
     rc_baseline.timeline_interval = 0;
     rc_baseline.progress = false;
     rc_baseline.profiler_hub = nullptr;
-    baseline = core::ExperimentRunner(rc_baseline).run(prof, std::nullopt, vdd);
+    baseline = core::ExperimentRunner(rc_baseline).run(prof, std::nullopt, vdd, {}, base_source);
   }
   if (trace && r.timeline != nullptr && r.timeline->windows() > 0) {
     // The instruction spans place one cycle at one microsecond (pid 1);
@@ -463,6 +477,19 @@ int cmd_run(const Args& args) {
               << " (open in ui.perfetto.dev)\n";
   }
   return rc_report;
+}
+
+int cmd_run(const Args& args) {
+  if (args.has("from-snapshot")) return cmd_run_from_snapshot(args);
+  if (!args.has("bench") || !args.has("scheme")) return usage();
+  workload::BenchmarkProfile prof;
+  try {
+    prof = workload::spec2006_profile(args.get("bench", ""));
+  } catch (const std::out_of_range& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  return run_and_report(args, prof, nullptr, nullptr);
 }
 
 int cmd_sweep(const Args& args) {
@@ -596,38 +623,28 @@ int cmd_record(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
+  refuse_unread(args, kReplayOptions, "replay");
   if (!args.has("trace") || !args.has("scheme")) return usage();
-  const auto scheme = core::scheme_by_name(args.get("scheme", ""));
-  if (!scheme) {
-    std::cerr << "unknown scheme '" << args.get("scheme", "") << "'\n";
-    return 2;
-  }
   std::ifstream in(args.get("trace", ""));
   if (!in) {
     std::cerr << "cannot open " << args.get("trace", "") << "\n";
     return 2;
   }
-  std::unique_ptr<workload::TraceFileSource> src;
+  std::optional<workload::TraceFileSource> trace;
   try {
-    src = std::make_unique<workload::TraceFileSource>(in, /*loop=*/true);
+    trace.emplace(in, /*loop=*/true);
   } catch (const workload::TraceFormatError& e) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  const double vdd = opt_double(args, "vdd", 0.97);
-  const core::RunnerConfig rc = runner_config(args);
-  timing::PathModelConfig pcfg;
-  pcfg.seed = opt_u64(args, "seed", 2013);
-  const timing::FaultModel fm(pcfg, vdd);
-  core::TimingErrorPredictor tep(rc.tep, &fm.environment());
-  cpu::Pipeline pipe(rc.core, *scheme, src.get(), &fm,
-                     scheme->use_predictor ? &tep : nullptr);
-  const cpu::PipelineResult pr = pipe.run(rc.instructions, rc.warmup);
-  std::cout << "trace of " << src->size() << " instructions (looped): committed "
-            << pr.committed << " in " << pr.cycles << " cycles (IPC "
-            << TextTable::fmt(pr.ipc()) << "), " << pr.stats.count("fault.actual")
-            << " faults, " << pr.stats.count("fault.replays") << " replays\n";
-  return 0;
+  // The fault-free comparison replays its own copy from the start.
+  workload::TraceFileSource base_trace = *trace;
+  // The default profile only names the job and calibrates its fault model:
+  // the 8%/2% fault-rate targets, seeded by --seed.
+  workload::BenchmarkProfile prof;
+  prof.name = "trace-file";
+  prof.seed = opt_u64(args, "seed", prof.seed);
+  return run_and_report(args, prof, &*trace, &base_trace);
 }
 
 int cmd_snap_save(const Args& args) {
