@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/isa/program.hpp"
 
@@ -51,6 +52,18 @@ void validate_core_config(const CoreConfig& cfg) {
   // iq_entries > rob_entries is allowed: the queue count is a dispatch gate,
   // the window itself is sized by rob_entries, so an oversized gate simply
   // never binds (small-ROB studies shrink rob below the default iq).
+
+  // A zero width starves the window, and the deadlock watchdog only
+  // watches a non-empty one: the run would never end.
+  for (const auto& [name, width] : {std::pair{"fetch_width", cfg.fetch_width},
+                                    std::pair{"dispatch_width", cfg.dispatch_width},
+                                    std::pair{"issue_width", cfg.issue_width},
+                                    std::pair{"commit_width", cfg.commit_width}}) {
+    if (width < 1) {
+      throw std::invalid_argument(std::string("CoreConfig: ") + name + " must be at least 1 (got " +
+                                  std::to_string(width) + ")");
+    }
+  }
   if (cfg.lq_entries < 1 || cfg.sq_entries < 1) {
     throw std::invalid_argument("CoreConfig: lq_entries/sq_entries must be positive");
   }

@@ -10,8 +10,6 @@
 #include "src/core/tep.hpp"
 #include "src/cpu/pipeline.hpp"
 #include "src/timing/fault_model.hpp"
-#include "src/workload/profiles.hpp"
-#include "src/core/runner.hpp"
 #include "src/workload/trace_generator.hpp"
 #include "tests/fuzz_util.hpp"
 
@@ -21,31 +19,8 @@ namespace {
 class FuzzSweep : public ::testing::TestWithParam<u64> {};
 
 TEST_P(FuzzSweep, InvariantsHoldUnderRandomConfiguration) {
-  Pcg32 rng(GetParam(), 0xf022ULL);
-
-  // Random machine shape.
-  CoreConfig cfg;
-  cfg.issue_width = 1 + static_cast<int>(rng.next_below(8));
-  cfg.fetch_width = cfg.issue_width;
-  cfg.dispatch_width = cfg.issue_width;
-  cfg.commit_width = cfg.issue_width;
-  cfg.rob_entries = 16 << rng.next_below(4);   // 16..128
-  cfg.iq_entries = std::min(cfg.rob_entries, 8 << static_cast<int>(rng.next_below(3)));
-  cfg.lq_entries = 8 + static_cast<int>(rng.next_below(24));
-  cfg.sq_entries = 8 + static_cast<int>(rng.next_below(24));
-  cfg.simple_alus = 1 + static_cast<int>(rng.next_below(4));
-  cfg.load_ports = 1 + static_cast<int>(rng.next_below(2));
-  cfg.model_wrong_path = rng.next_bool(0.3);
-  cfg.l2_next_line_prefetch = rng.next_bool(0.3);
-
-  // Random workload and scheme.
-  const auto profiles = workload::spec2006_profiles();
-  const auto prof = profiles[rng.next_below(static_cast<u32>(profiles.size()))];
-  const auto schemes = core::comparative_schemes();
-  SchemeConfig scheme = schemes[rng.next_below(static_cast<u32>(schemes.size()))];
-  if (rng.next_bool(0.3)) scheme.recovery = RecoveryModel::kSquashRefetch;
-  if (rng.next_bool(0.25)) scheme.inorder_fault_scale = 0.3;
-  const double vdd = rng.next_bool(0.5) ? 0.97 : 1.04;
+  // Random machine shape, workload, scheme and supply.
+  const auto [cfg, prof, scheme, vdd] = fuzzutil::draw_config_case(GetParam());
 
   timing::PathModelConfig pcfg{prof.seed, prof.fr_high_pct / 100.0 * prof.fr_calib_high,
                                prof.fr_low_pct / 100.0 * prof.fr_calib_low};

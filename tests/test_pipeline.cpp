@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/cpu/pipeline.hpp"
 #include "src/isa/assembler.hpp"
@@ -370,6 +371,18 @@ TEST(CoreConfigValidation, NamedErrorsForEachConstraint) {
   CoreConfig lq_zero = ok;
   lq_zero.lq_entries = 0;
   expect_invalid(lq_zero, "must be positive");
+
+  // A zero width would leave the window empty, out of the watchdog's reach.
+  const std::pair<int CoreConfig::*, std::string> widths[] = {
+      {&CoreConfig::fetch_width, "fetch_width"},
+      {&CoreConfig::dispatch_width, "dispatch_width"},
+      {&CoreConfig::issue_width, "issue_width"},
+      {&CoreConfig::commit_width, "commit_width"}};
+  for (const auto& [width, name] : widths) {
+    CoreConfig zero_width = ok;
+    zero_width.*width = 0;
+    expect_invalid(zero_width, name + " must be at least 1");
+  }
 
   CoreConfig phys_small = ok;
   phys_small.phys_regs = 33;

@@ -15,12 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "src/adapt/dvfs.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/core/sweep.hpp"
 #include "src/workload/profiles.hpp"
 #include "tests/fuzz_util.hpp"
+#include "tests/json_util.hpp"
 #include "tests/run_compare.hpp"
 
 namespace vasim {
@@ -142,12 +144,26 @@ TEST(SweepJson, EmitsValidStructure) {
     ++count;
   }
   EXPECT_EQ(count, report.jobs.size());
-  // Balanced braces/brackets (cheap well-formedness check; no JSON parser
-  // in the toolchain).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+  EXPECT_TRUE(testutil::JsonParser(json).parse());
+
+  // The per-job blocks of an adaptive-clock, sampled sweep: every job
+  // carries its timeline, and every job with a fault model its dvfs block.
+  core::RunnerConfig adaptive = small_config();
+  adaptive.dvfs.policy = adapt::DvfsPolicy::kReactive;
+  adaptive.dvfs.epoch = 500;
+  adaptive.timeline_interval = 500;
+  const core::SweepReport sampled = core::SweepRunner(adaptive, 2).run(small_grid());
+  std::ostringstream sampled_os;
+  core::write_sweep_json(sampled_os, "unit", sampled);
+  const std::string sampled_json = sampled_os.str();
+  EXPECT_TRUE(testutil::JsonParser(sampled_json).parse());
+  const auto faulty = static_cast<std::size_t>(
+      std::count_if(sampled.jobs.begin(), sampled.jobs.end(),
+                    [](const core::SweepOutcome& j) { return j.result.scheme != "fault-free"; }));
+  ASSERT_GT(faulty, 0u);
+  EXPECT_EQ(testutil::count_substr(sampled_json, "\"timeline\": {"), sampled.jobs.size());
+  EXPECT_EQ(testutil::count_substr(sampled_json, "\"dvfs\": {\"policy\": \"reactive\""), faulty);
+  EXPECT_EQ(testutil::count_substr(sampled_json, "\"trajectory\": [["), faulty);
 }
 
 TEST(SweepJson, EmitsHistogramPercentilesPerJob) {

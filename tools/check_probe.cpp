@@ -17,20 +17,21 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/check/shrink.hpp"
 #include "src/core/runner.hpp"
 #include "src/isa/assembler.hpp"
 #include "src/isa/executor.hpp"
-#include "src/workload/profiles.hpp"
 #include "tests/fuzz_util.hpp"
+#include "tools/cli_options.hpp"
 
 using namespace vasim;
 
@@ -54,30 +55,11 @@ struct RunIdentity {
   Overrides dims;
 };
 
-/// Config-mode probe: the same derivation as tests/test_fuzz.cpp (seed salt
-/// 0xf022), so corpus seeds are shared between the suite and this tool.
-/// Returns the failure description, or nullopt when the run is clean.
+/// Config-mode probe: the case test_fuzz draws from `seed`, so corpus seeds
+/// are shared between the suite and this tool.  Returns the failure
+/// description, or nullopt when the run is clean.
 std::optional<std::string> config_failure(u64 seed, const Overrides& ov, RunIdentity* id) {
-  Pcg32 rng(seed, 0xf022ULL);
-
-  cpu::CoreConfig cfg;
-  cfg.issue_width = 1 + static_cast<int>(rng.next_below(8));
-  cfg.rob_entries = 16 << rng.next_below(4);
-  cfg.iq_entries = std::min(cfg.rob_entries, 8 << static_cast<int>(rng.next_below(3)));
-  cfg.lq_entries = 8 + static_cast<int>(rng.next_below(24));
-  cfg.sq_entries = 8 + static_cast<int>(rng.next_below(24));
-  cfg.simple_alus = 1 + static_cast<int>(rng.next_below(4));
-  cfg.load_ports = 1 + static_cast<int>(rng.next_below(2));
-  cfg.model_wrong_path = rng.next_bool(0.3);
-  cfg.l2_next_line_prefetch = rng.next_bool(0.3);
-
-  const auto profiles = workload::spec2006_profiles();
-  const auto prof = profiles[rng.next_below(static_cast<u32>(profiles.size()))];
-  const auto schemes = core::comparative_schemes();
-  cpu::SchemeConfig scheme = schemes[rng.next_below(static_cast<u32>(schemes.size()))];
-  if (rng.next_bool(0.3)) scheme.recovery = cpu::RecoveryModel::kSquashRefetch;
-  if (rng.next_bool(0.25)) scheme.inorder_fault_scale = 0.3;
-  const double vdd = rng.next_bool(0.5) ? 0.97 : 1.04;
+  auto [cfg, prof, scheme, vdd] = fuzzutil::draw_config_case(seed);
 
   // Shrinkable dimensions override the drawn shape (widths stay tied).
   cfg.issue_width = static_cast<int>(get_or(ov, "width", static_cast<u64>(cfg.issue_width)));
@@ -114,58 +96,25 @@ std::optional<std::string> config_failure(u64 seed, const Overrides& ov, RunIden
   return std::nullopt;
 }
 
-/// Program-mode probe: parameterized variant of the generator in
-/// tests/test_program_fuzz.cpp (seed salt 0x9f09).  The caps are the
-/// shrinkable dimensions -- smaller caps mean smaller programs.
-std::string gen_program(Pcg32& rng, u64 loop_cap, u64 trip_cap, u64 body_cap) {
-  std::ostringstream os;
-  os << "lui r10, 0x10\n";
-  const u64 loops = 1 + rng.next_below(static_cast<u32>(loop_cap));
-  for (u64 l = 0; l < loops; ++l) {
-    const u64 trip = 3 + rng.next_below(static_cast<u32>(trip_cap));
-    os << "addi r1, r0, 0\n";
-    os << "addi r2, r0, " << trip << "\n";
-    os << "L" << l << ":\n";
-    const u64 body = 1 + rng.next_below(static_cast<u32>(body_cap));
-    for (u64 b = 0; b < body; ++b) {
-      const int dst = 3 + static_cast<int>(rng.next_below(6));
-      const int src = 1 + static_cast<int>(rng.next_below(8));
-      switch (rng.next_below(6)) {
-        case 0: os << "add r" << dst << ", r" << src << ", r1\n"; break;
-        case 1: os << "addi r" << dst << ", r" << src << ", " << rng.next_below(100) << "\n"; break;
-        case 2: os << "ld r" << dst << ", " << 8 * rng.next_below(16) << "(r10)\n"; break;
-        case 3: os << "st r" << src << ", " << 8 * rng.next_below(16) << "(r10)\n"; break;
-        case 4: os << "mul r" << dst << ", r" << src << ", r2\n"; break;
-        default: os << "xor r" << dst << ", r" << src << ", r2\n"; break;
-      }
-    }
-    os << "addi r1, r1, 1\n";
-    os << "blt r1, r2, L" << l << "\n";
-  }
-  os << "halt\n";
-  return os.str();
-}
-
+/// Program-mode probe: the case test_program_fuzz draws from `seed`, with
+/// the program's size caps as the shrinkable dimensions -- smaller caps
+/// mean smaller programs.
 std::optional<std::string> program_failure(u64 seed, const Overrides& ov, RunIdentity* id) {
-  Pcg32 rng(seed, 0x9f09ULL);
-  const u64 loop_cap = get_or(ov, "loops", 4);
-  const u64 trip_cap = get_or(ov, "trip", 30);
-  const u64 body_cap = get_or(ov, "body", 8);
-  const isa::Program prog = isa::assemble(gen_program(rng, loop_cap, trip_cap, body_cap));
+  const fuzzutil::ProgramCaps caps{get_or(ov, "loops", 4), get_or(ov, "trip", 30),
+                                   get_or(ov, "body", 8)};
+  const auto [source, scheme, model_wrong_path] = fuzzutil::draw_program_case(seed, caps);
+  const isa::Program prog = isa::assemble(source);
   isa::FunctionalCore ref(&prog);
   isa::DynInst d;
   u64 dynamic_count = 0;
   while (ref.next(d)) ++dynamic_count;
 
-  const auto schemes = core::comparative_schemes();
-  cpu::SchemeConfig scheme = schemes[rng.next_below(static_cast<u32>(schemes.size()))];
-  if (rng.next_bool(0.4)) scheme.recovery = cpu::RecoveryModel::kSquashRefetch;
   if (id != nullptr) {
     id->bench = "<program>";
     id->scheme = scheme.name;
     id->vdd = 0.97;
     id->squash_refetch = scheme.recovery == cpu::RecoveryModel::kSquashRefetch;
-    id->dims = {{"loops", loop_cap}, {"trip", trip_cap}, {"body", body_cap}};
+    id->dims = {{"loops", caps.loops}, {"trip", caps.trip}, {"body", caps.body}};
   }
 
   // The profile only names the job and calibrates its fault model: 10% / 3%
@@ -177,7 +126,7 @@ std::optional<std::string> program_failure(u64 seed, const Overrides& ov, RunIde
   core::RunnerConfig rc;
   rc.instructions = 10 * dynamic_count;
   rc.warmup = 0;
-  rc.core.model_wrong_path = rng.next_bool(0.4);
+  rc.core.model_wrong_path = model_wrong_path;
   rc.check_semantics = true;  // a violation throws with the checker's report
   isa::FunctionalCore src(&prog);
   const core::RunResult r = core::ExperimentRunner(rc).run(prof, scheme, 0.97, {}, &src);
@@ -220,63 +169,90 @@ std::optional<std::string> run_probe(Probe probe, u64 seed, const Overrides& ov,
   }
 }
 
+constexpr std::string_view kSynopsis =
+    "[--mode config|program] [--seed K[,K...]] [--iters N]\n"
+    "[--set k=v[,k=v...]] [--no-shrink]";
+
 int usage() {
-  std::fprintf(stderr,
-               "usage: check_probe [--mode config|program] [--seed K[,K...]] [--iters N]\n"
-               "                   [--set k=v[,k=v...]] [--no-shrink]\n");
+  std::fprintf(stderr, "%s\n", cli::usage_line("usage: check_probe ", kSynopsis).c_str());
   return 2;
+}
+
+/// The comma-separated items of `list`.
+std::vector<std::string> split_commas(const std::string& list) {
+  std::vector<std::string> items;
+  std::stringstream ss(list);
+  std::string item;
+  while (std::getline(ss, item, ',')) items.push_back(item);
+  return items;
+}
+
+struct ProbeArgs {
+  std::string mode;
+  std::vector<u64> seeds;  ///< empty: the mode's default seed range
+  u64 iters = 0;
+  Overrides sets;
+  bool shrink = true;
+};
+
+/// Reads the command line into `out`, refusing every malformed value by
+/// name; false means print the usage.
+bool read_args(int argc, char** argv, ProbeArgs& out) {
+  const cli::OptionSet options = cli::declared_options(kSynopsis);
+  cli::Args args;
+  if (!cli::parse_options(1, argc, argv, options, options, "check_probe", args)) return false;
+  out.mode = args.get("mode", "config");
+  if (out.mode != "config" && out.mode != "program") {
+    throw std::invalid_argument("option '--mode' expects config or program, got '" + out.mode +
+                                "'");
+  }
+  for (const std::string& item : split_commas(args.get("seed"))) {
+    out.seeds.push_back(cli::parse_u64("option '--seed'", item));
+  }
+  // The seed range is allocated up front: a bound keeps a typo from asking
+  // for terabytes.
+  out.iters = cli::opt_u64(args, "iters", 10, 1'000'000);
+  const check::ShrinkSpec dims = initial_spec(out.mode, {});
+  for (const std::string& item : split_commas(args.get("set"))) {
+    const std::size_t eq = item.find('=');
+    const std::string key = item.substr(0, eq);
+    if (std::none_of(dims.begin(), dims.end(),
+                     [&](const check::ShrinkDim& d) { return d.name == key; })) {
+      std::string names;
+      for (const check::ShrinkDim& d : dims) names += (names.empty() ? "" : ", ") + d.name;
+      throw std::invalid_argument("option '--set' expects a shrink dimension of mode " +
+                                  out.mode + " (" + names + "), got '" + key + "'");
+    }
+    if (eq == std::string::npos) {
+      throw std::invalid_argument("option '--set' expects " + key + "=N, got '" + item + "'");
+    }
+    // Every dimension is an int-sized machine, program or run length.
+    out.sets[key] = cli::parse_u64("option '--set'", item.substr(eq + 1),
+                                   std::numeric_limits<int>::max());
+  }
+  out.shrink = !args.has("no-shrink");
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string mode = "config";
-  std::vector<u64> seeds;
-  Overrides sets;
-  u64 iters = 10;
-  bool shrink = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--mode") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      mode = v;
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      std::stringstream ss(v);
-      std::string item;
-      while (std::getline(ss, item, ',')) seeds.push_back(std::stoull(item));
-    } else if (arg == "--iters") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      iters = std::stoull(v);
-    } else if (arg == "--set") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      std::stringstream ss(v);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) return usage();
-        sets[item.substr(0, eq)] = std::stoull(item.substr(eq + 1));
-      }
-    } else if (arg == "--no-shrink") {
-      shrink = false;
-    } else {
-      return usage();
-    }
+  ProbeArgs args;
+  try {
+    if (!read_args(argc, argv, args)) return usage();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
-  if (mode != "config" && mode != "program") return usage();
+  const std::string& mode = args.mode;
   const auto probe = mode == "program" ? program_failure : config_failure;
-  if (seeds.empty()) {
-    seeds = fuzzutil::seeds("probe", mode == "program" ? 101 : 1, iters);
-  }
+  const std::vector<u64> seeds =
+      args.seeds.empty() ? fuzzutil::seeds("probe", mode == "program" ? 101 : 1, args.iters)
+                         : args.seeds;
 
   for (const u64 seed : seeds) {
     RunIdentity id;
-    const auto failure = run_probe(probe, seed, sets, &id);
+    const auto failure = run_probe(probe, seed, args.sets, &id);
     if (!failure) {
       std::printf("ok   mode=%s seed=%" PRIu64 " (%s/%s vdd=%.2f)\n", mode.c_str(), seed,
                   id.bench.c_str(), id.scheme.c_str(), id.vdd);
@@ -287,7 +263,7 @@ int main(int argc, char** argv) {
 
     check::ShrinkSpec spec = initial_spec(mode, id.dims);
     check::ShrinkStats stats;
-    if (shrink) {
+    if (args.shrink) {
       spec = check::shrink_spec(
           spec,
           [&](const check::ShrinkSpec& cand) {

@@ -1,60 +1,16 @@
-// vasim command-line driver.
-//
-// Usage:
-//   vasim list
-//       List the available benchmark profiles and schemes.
-//   vasim run --bench <name> --scheme <name> [--vdd V] [--instr N]
-//             [--warmup N] [--predictor tep|mre|tvp] [--kanata FILE]
-//             [--trace FILE] [--timeline FILE] [--timeline-interval K]
-//             [--dvfs static|reactive|predictive] [--epoch N]
-//             [--period-min P] [--period-max P]
-//             [--stats] [--csv] [--cpi] [--progress] [--profile]
-//       Run one simulation and print a summary (or CSV row / full stats).
-//       --cpi adds the per-cause commit-slot (CPI stack) table; --trace
-//       writes per-instruction Chrome-trace JSON for Perfetto; --timeline
-//       samples every registry counter each K commits (default 10000) and
-//       writes the per-window series as JSON (or CSV when FILE ends in
-//       .csv); --progress prints a live commits/s + ETA line on stderr;
-//       --profile attributes the simulator's own wall-time to its pipeline
-//       stages (docs/observability.md).
-//   vasim sweep --bench <name>|all [--instr N] [--warmup N] [--jobs N]
-//               [--json FILE] [--trace FILE]
-//               [--timeline-interval K] [--dvfs POLICY] [--epoch N]
-//               [--cpi] [--progress] [--profile]
-//       Run every scheme at both faulty supplies for one benchmark (or the
-//       whole suite), fanned out over a thread pool (VASIM_JOBS or --jobs;
-//       results are deterministic at any worker count), optionally dumping
-//       the machine-readable JSON result sink to FILE, a Chrome-trace span
-//       per job to --trace, per-scheme CPI stacks with --cpi, and a live
-//       done/total + ETA line on stderr with --progress;
-//       --timeline-interval embeds a per-job timeline in the JSON sink and
-//       appends Perfetto counter tracks to --trace; --profile prints
-//       per-worker and whole-sweep simulator self-profiles.
-//   vasim record --bench <name> --out FILE [--instr N]
-//       Capture a committed-path trace to a vasim-trace file.
-//   vasim replay --trace FILE --scheme <name> [--seed S] [run's options]
-//       Run a recorded (or external) trace file, looped, instead of a
-//       profile's generator, and print `vasim run`'s report.  It takes every
-//       `vasim run` option except --bench, --from-snapshot and the Chrome
-//       trace (--trace names the input); --seed (default 2013) seeds the
-//       fault model, calibrated to 8% / 2% faults at 0.97 / 1.04 V.
-//   vasim snap save --bench <name> --scheme <name> --out FILE [--vdd V]
-//                   [--instr N] [--warmup N] [--at N] [--predictor tep|mre|tvp]
-//       Simulate to the --at commit point (default: end of warmup) and write
-//       a checksummed snapshot; resume with `vasim run --from-snapshot`.
-//   vasim snap info FILE
-//       Pretty-print a snapshot's header, chunk table, CRC status and META.
-#include <charconv>
-#include <cmath>
+// vasim command-line driver.  `vasim` alone prints the usage; kVerbs below
+// holds each verb's synopsis, which also declares the options the verb
+// reads (tools/cli_options.hpp): any other option is refused by name before
+// a file is opened or a cycle simulated.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/adapt/dvfs.hpp"
@@ -72,113 +28,45 @@
 #include "src/snap/format.hpp"
 #include "src/workload/trace_file.hpp"
 #include "src/workload/trace_generator.hpp"
+#include "tools/cli_options.hpp"
 
 namespace {
 
 using namespace vasim;
 
-struct Args {
-  std::map<std::string, std::string> options;
+using cli::Args;
+using cli::opt_double;
+using cli::opt_u64;
 
-  [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
+int usage();
+
+/// The named benchmark profile; an unknown name is refused by name.
+workload::BenchmarkProfile profile_named(const std::string& name) {
+  try {
+    return workload::spec2006_profile(name);
+  } catch (const std::out_of_range& e) {
+    throw std::invalid_argument(e.what());
   }
-  [[nodiscard]] bool has(const std::string& key) const { return options.count(key) != 0; }
-};
-
-// Every option any verb reads.  A name outside both sets is rejected by
-// name, so a misspelled flag fails loudly instead of being ignored.
-const std::set<std::string> kFlagOptions = {
-    "cpi", "csv", "profile", "progress", "reuse-warmup", "stats"};
-const std::set<std::string> kValueOptions = {
-    "at", "bench", "dvfs", "epoch", "from-snapshot", "instr", "iq", "jobs", "json", "kanata",
-    "out", "period-max", "period-min", "phys", "predictor", "rob", "scheme", "seed", "timeline",
-    "timeline-interval", "trace", "vdd", "warmup"};
-
-bool parse_options(int start, int argc, char** argv, Args& a) {
-  for (int i = start; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) return false;
-    key = key.substr(2);
-    if (kFlagOptions.count(key) != 0) {
-      a.options[key] = "1";
-    } else if (kValueOptions.count(key) == 0) {
-      throw std::invalid_argument("unknown option '--" + key + "'");
-    } else {
-      if (i + 1 >= argc) return false;
-      a.options[key] = argv[++i];
-    }
-  }
-  return true;
 }
 
-/// The value of --NAME as an unsigned integer no larger than `max`, or
-/// `fallback` when the option is absent.  The whole value must be decimal
-/// digits: "2k", "-1", "+3" and "" are rejected by name rather than read as
-/// whatever prefix parses.
-u64 opt_u64(const Args& args, const std::string& name, u64 fallback,
-            u64 max = std::numeric_limits<u64>::max()) {
-  if (!args.has(name)) return fallback;
-  const std::string v = args.get(name, "");
-  u64 x = 0;
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
-  if (ec == std::errc::invalid_argument || end != v.data() + v.size()) {
-    throw std::invalid_argument("option '--" + name + "' expects an unsigned integer, got '" +
-                                v + "'");
-  }
-  if (ec == std::errc::result_out_of_range || x > max) {
-    throw std::invalid_argument("option '--" + name + "' expects an unsigned integer no larger " +
-                                "than " + std::to_string(max) + ", got '" + v + "'");
-  }
-  return x;
+/// The wiring --scheme NAME selects: nullopt for "fault-free", the baseline
+/// wiring with no fault model and no predictor.
+std::optional<cpu::SchemeConfig> scheme_named(const std::string& name) {
+  std::optional<cpu::SchemeConfig> scheme = core::scheme_by_name(name);
+  if (!scheme) throw std::invalid_argument("unknown scheme '" + name + "'");
+  if (name == "fault-free") scheme.reset();
+  return scheme;
 }
 
-/// The value of --NAME as a finite number, or `fallback` when the option is
-/// absent; trailing text ("0.97V"), "inf" and "nan" are rejected by name.
-double opt_double(const Args& args, const std::string& name, double fallback) {
-  if (!args.has(name)) return fallback;
-  const std::string v = args.get(name, "");
-  double x = 0.0;
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
-  if (ec != std::errc() || end != v.data() + v.size() || !std::isfinite(x)) {
-    throw std::invalid_argument("option '--" + name + "' expects a finite number, got '" + v +
-                                "'");
-  }
-  return x;
+/// `path` opened as a Stream; a path that cannot be opened is refused by name.
+template <typename Stream>
+Stream open_file(const std::string& path) {
+  Stream s(path);
+  if (!s) throw std::invalid_argument("cannot open " + path);
+  return s;
 }
 
-int usage() {
-  std::cerr << "usage:\n"
-            << "  vasim list\n"
-            << "  vasim run --bench <name> --scheme "
-               "fault-free|razor|ep|abs|ffs|cds [--vdd V]\n"
-            << "            [--instr N] [--warmup N] [--predictor tep|mre|tvp]\n"
-            << "            [--iq N] [--rob N] [--phys N]\n"
-            << "            [--kanata FILE] [--trace FILE] [--timeline FILE]\n"
-            << "            [--timeline-interval K] [--stats] [--csv] [--cpi]\n"
-            << "            [--dvfs static|reactive|predictive] [--epoch N]\n"
-            << "            [--period-min P] [--period-max P]\n"
-            << "            [--progress] [--profile]\n"
-            << "  vasim run --from-snapshot FILE [--instr N] [--timeline FILE]\n"
-            << "            [--timeline-interval K] [--stats] [--csv] [--cpi]\n"
-            << "            [--progress] [--profile]\n"
-            << "  vasim sweep --bench <name>|all [--instr N] [--warmup N] [--jobs N]\n"
-            << "              [--iq N] [--rob N] [--phys N]\n"
-            << "              [--json FILE] [--trace FILE]\n"
-            << "              [--timeline-interval K] [--dvfs POLICY] [--epoch N]\n"
-            << "              [--period-min P] [--period-max P] [--cpi] [--progress]\n"
-            << "              [--reuse-warmup] [--profile]\n"
-            << "  vasim record --bench <name> --out FILE [--instr N]\n"
-            << "  vasim replay --trace FILE --scheme <name> [--seed S] [--vdd V]\n"
-            << "               [run's options but --bench, --from-snapshot]\n"
-            << "  vasim snap save --bench <name> --scheme <name> --out FILE [--vdd V]\n"
-            << "                  [--instr N] [--warmup N] [--at N] [--predictor tep|mre|tvp]\n"
-            << "  vasim snap info FILE\n";
-  return 2;
-}
-
-int cmd_list() {
+int cmd_list(const Args&) {
   TextTable t({"benchmark", "paper-IPC", "FR%@0.97", "FR%@1.04"});
   for (const auto& p : workload::spec2006_profiles()) {
     t.add_row({p.name, TextTable::fmt(p.paper_ipc, 2), TextTable::fmt(p.fr_high_pct, 2),
@@ -199,6 +87,9 @@ core::RunnerConfig runner_config(const Args& args) {
     rc.predictor = core::PredictorKind::kMre;
   } else if (pred == "tvp") {
     rc.predictor = core::PredictorKind::kTvp;
+  } else if (pred != "tep") {
+    throw std::invalid_argument("option '--predictor' expects tep, mre or tvp, got '" + pred +
+                                "'");
   }
   rc.timeline_interval = opt_u64(args, "timeline-interval", 0);
   constexpr u64 kIntMax = std::numeric_limits<int>::max();
@@ -206,7 +97,7 @@ core::RunnerConfig runner_config(const Args& args) {
   rc.core.rob_entries = static_cast<int>(opt_u64(args, "rob", rc.core.rob_entries, kIntMax));
   rc.core.phys_regs = static_cast<int>(opt_u64(args, "phys", rc.core.phys_regs, kIntMax));
   cpu::validate_core_config(rc.core);  // fail fast with the named reason
-  if (args.has("dvfs")) rc.dvfs.policy = adapt::dvfs_policy_from_string(args.get("dvfs", ""));
+  if (args.has("dvfs")) rc.dvfs.policy = adapt::dvfs_policy_from_string(args.get("dvfs"));
   rc.dvfs.epoch = opt_u64(args, "epoch", rc.dvfs.epoch);
   constexpr u64 kU32Max = std::numeric_limits<u32>::max();
   rc.dvfs.period_min_permille =
@@ -221,12 +112,8 @@ core::RunnerConfig runner_config(const Args& args) {
 constexpr u64 kDefaultTimelineInterval = 10'000;
 
 /// Writes a finalized timeline as JSON, or CSV when the path ends in .csv.
-int write_timeline_file(const obs::Timeline& tl, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open " << path << "\n";
-    return 2;
-  }
+void write_timeline_file(const obs::Timeline& tl, const std::string& path) {
+  std::ofstream out = open_file<std::ofstream>(path);
   const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
   if (csv) {
     tl.write_csv(out);
@@ -235,7 +122,6 @@ int write_timeline_file(const obs::Timeline& tl, const std::string& path) {
   }
   std::cout << "timeline with " << tl.windows() << " windows (every " << tl.interval()
             << " commits) written to " << path << "\n";
-  return 0;
 }
 
 /// The --profile report: whole-run stage attribution, plus a per-worker
@@ -326,9 +212,10 @@ void print_cpi_table(const std::string& title, const obs::CpiStack& cpi, int com
 
 /// Everything `vasim run` prints after the simulation, with or without
 /// --from-snapshot: the result line (or CSV row), then --stats, --cpi,
-/// --timeline and --profile.  Returns the exit code.
-int print_run_report(const Args& args, const core::RunResult& r, const core::RunResult* baseline,
-                     int commit_width, const obs::ProfilerHub& hub) {
+/// --timeline and --profile.
+void print_run_report(const Args& args, const core::RunResult& r,
+                      const core::RunResult* baseline, int commit_width,
+                      const obs::ProfilerHub& hub) {
   if (args.has("csv")) {
     std::cout << "benchmark,scheme,vdd,committed,cycles,ipc,fault_rate_pct,replays,"
                  "predictor_accuracy,energy_nj,edp\n";
@@ -339,39 +226,14 @@ int print_run_report(const Args& args, const core::RunResult& r, const core::Run
     print_cpi_table(r.benchmark + "/" + r.scheme, r.cpi, commit_width, r.committed);
   }
   if (args.has("timeline") && r.timeline != nullptr) {
-    const int rcio = write_timeline_file(*r.timeline, args.get("timeline", ""));
-    if (rcio != 0) return rcio;
+    write_timeline_file(*r.timeline, args.get("timeline"));
   }
   if (args.has("profile")) print_profile_tables(hub);
-  return 0;
-}
-
-/// The options `run --from-snapshot` reads; the snapshot fixes the rest.
-const std::set<std::string> kFromSnapshotOptions = {
-    "cpi", "csv", "from-snapshot", "instr", "profile", "progress", "stats", "timeline",
-    "timeline-interval"};
-
-/// The options `replay` reads: `run`'s, except that --trace names the input
-/// file and --seed seeds the fault model.
-const std::set<std::string> kReplayOptions = {
-    "cpi", "csv", "dvfs", "epoch", "instr", "iq", "kanata", "period-max", "period-min", "phys",
-    "predictor", "profile", "progress", "rob", "scheme", "seed", "stats", "timeline",
-    "timeline-interval", "trace", "vdd", "warmup"};
-
-/// Refuses by name, before any file is read, every option outside `reads`:
-/// `what` would ignore it.
-void refuse_unread(const Args& args, const std::set<std::string>& reads, const std::string& what) {
-  std::string ignored;
-  for (const auto& [key, value] : args.options) {
-    if (reads.count(key) == 0) ignored += (ignored.empty() ? " --" : ", --") + key;
-  }
-  if (!ignored.empty()) throw std::invalid_argument(what + " does not read" + ignored);
 }
 
 int cmd_run_from_snapshot(const Args& args) {
-  refuse_unread(args, kFromSnapshotOptions, "--from-snapshot");
   try {
-    const core::RunSnapshot snap = core::RunSnapshot::read_file(args.get("from-snapshot", ""));
+    const core::RunSnapshot snap = core::RunSnapshot::read_file(args.get("from-snapshot"));
     const core::RunMeta& m = snap.meta();
     // The runner configuration is rebuilt from META so the resume is
     // warmup-compatible by construction; only the measurement length may be
@@ -393,7 +255,8 @@ int cmd_run_from_snapshot(const Args& args) {
     obs::ProfilerHub hub;
     if (args.has("profile")) rc.profiler_hub = &hub;
     const core::RunResult r = core::ExperimentRunner(rc).run_from(snap);
-    return print_run_report(args, r, nullptr, rc.core.commit_width, hub);
+    print_run_report(args, r, nullptr, rc.core.commit_width, hub);
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 2;
@@ -405,15 +268,9 @@ int cmd_run_from_snapshot(const Args& args) {
 /// Non-null `source` and `base_source` feed the two runs instead of the
 /// profile's generator; --trace then names that input, so no Chrome trace
 /// is written.
-int run_and_report(const Args& args, const workload::BenchmarkProfile& prof,
-                   isa::InstructionSource* source, isa::InstructionSource* base_source) {
-  const std::string scheme_name = args.get("scheme", "");
-  std::optional<cpu::SchemeConfig> scheme = core::scheme_by_name(scheme_name);
-  if (!scheme) {
-    std::cerr << "unknown scheme '" << scheme_name << "'\n";
-    return 2;
-  }
-  if (scheme_name == "fault-free") scheme.reset();  // the baseline wiring: no fault model
+void run_and_report(const Args& args, const workload::BenchmarkProfile& prof,
+                    isa::InstructionSource* source, isa::InstructionSource* base_source) {
+  const std::optional<cpu::SchemeConfig> scheme = scheme_named(args.get("scheme"));
   const double vdd = opt_double(args, "vdd", 0.97);
   core::RunnerConfig rc = runner_config(args);
   if (args.has("timeline") && rc.timeline_interval == 0) {
@@ -428,22 +285,14 @@ int run_and_report(const Args& args, const workload::BenchmarkProfile& prof,
   std::ofstream kanata_out;
   std::optional<cpu::KanataTraceWriter> kanata;
   if (args.has("kanata")) {
-    kanata_out.open(args.get("kanata", ""));
-    if (!kanata_out) {
-      std::cerr << "cannot open " << args.get("kanata", "") << "\n";
-      return 2;
-    }
+    kanata_out = open_file<std::ofstream>(args.get("kanata"));
     sinks.push_back(&kanata.emplace(&kanata_out, 20'000));
   }
   std::ofstream trace_out;
   std::optional<obs::ChromeTraceWriter> trace;
   std::optional<cpu::TraceObserver> trace_obs;
   if (source == nullptr && args.has("trace")) {
-    trace_out.open(args.get("trace", ""));
-    if (!trace_out) {
-      std::cerr << "cannot open " << args.get("trace", "") << "\n";
-      return 2;
-    }
+    trace_out = open_file<std::ofstream>(args.get("trace"));
     sinks.push_back(&trace_obs.emplace(&trace.emplace(&trace_out), 20'000));
   }
 
@@ -465,47 +314,30 @@ int run_and_report(const Args& args, const workload::BenchmarkProfile& prof,
     r.timeline->append_counter_tracks(*trace, 2, 0, "", 0.0, 1.0);
   }
   if (trace) trace->finish();
-  const int rc_report = print_run_report(args, r, baseline ? &*baseline : nullptr,
-                                         rc.core.commit_width, hub);
+  print_run_report(args, r, baseline ? &*baseline : nullptr, rc.core.commit_width, hub);
   if (kanata) {
     std::cout << "Kanata trace with " << kanata->instructions_logged()
-              << " instructions written to " << args.get("kanata", "") << "\n";
+              << " instructions written to " << args.get("kanata") << "\n";
   }
   if (trace) {
     std::cout << "Chrome trace with " << trace_obs->instructions_traced()
-              << " instructions written to " << args.get("trace", "")
+              << " instructions written to " << args.get("trace")
               << " (open in ui.perfetto.dev)\n";
   }
-  return rc_report;
 }
 
 int cmd_run(const Args& args) {
-  if (args.has("from-snapshot")) return cmd_run_from_snapshot(args);
   if (!args.has("bench") || !args.has("scheme")) return usage();
-  workload::BenchmarkProfile prof;
-  try {
-    prof = workload::spec2006_profile(args.get("bench", ""));
-  } catch (const std::out_of_range& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
-  return run_and_report(args, prof, nullptr, nullptr);
+  run_and_report(args, profile_named(args.get("bench")), nullptr, nullptr);
+  return 0;
 }
 
 int cmd_sweep(const Args& args) {
   if (!args.has("bench")) return usage();
-  std::vector<workload::BenchmarkProfile> profiles;
-  const std::string which = args.get("bench", "");
-  if (which == "all") {
-    profiles = workload::spec2006_profiles();
-  } else {
-    try {
-      profiles.push_back(workload::spec2006_profile(which));
-    } catch (const std::out_of_range& e) {
-      std::cerr << e.what() << "\n";
-      return 2;
-    }
-  }
+  const std::string which = args.get("bench");
+  const std::vector<workload::BenchmarkProfile> profiles =
+      which == "all" ? workload::spec2006_profiles()
+                     : std::vector<workload::BenchmarkProfile>{profile_named(which)};
 
   const std::size_t workers =
       opt_u64(args, "jobs", core::sweep_workers_from_env(), ThreadPool::kMaxWorkers);
@@ -514,7 +346,6 @@ int cmd_sweep(const Args& args) {
   if (args.has("profile")) sweep_rc.profiler_hub = &hub;
   core::SweepRunner sweeper(sweep_rc, workers);
   if (args.has("progress")) sweeper.set_progress(true);
-  if (args.has("reuse-warmup")) sweeper.set_reuse_warmup(true);
 
   // (fault-free + every scheme) x both faulty supplies per profile, one
   // thread-pooled grid; results come back in submission order.
@@ -567,69 +398,35 @@ int cmd_sweep(const Args& args) {
             << TextTable::fmt(report.wall_ms, 0) << " ms on " << report.workers
             << " worker(s)\n";
   if (args.has("profile")) print_profile_tables(hub);
-  if (args.has("reuse-warmup")) {
-    std::cout << "warmup accounting: " << report.warmup_groups
-              << " group(s) of jobs sharing a warmup, " << report.warmup_cycles_simulated
-              << " warmup cycles in their leaders, " << report.warmup_cycles_saved
-              << " in the other members\n";
-  }
 
   if (args.has("json")) {
-    std::ofstream out(args.get("json", ""));
-    if (!out) {
-      std::cerr << "cannot open " << args.get("json", "") << "\n";
-      return 2;
-    }
+    std::ofstream out = open_file<std::ofstream>(args.get("json"));
     core::write_sweep_json(out, "cli_sweep", report);
-    std::cout << "JSON results written to " << args.get("json", "") << "\n";
+    std::cout << "JSON results written to " << args.get("json") << "\n";
   }
   if (args.has("trace")) {
-    std::ofstream out(args.get("trace", ""));
-    if (!out) {
-      std::cerr << "cannot open " << args.get("trace", "") << "\n";
-      return 2;
-    }
+    std::ofstream out = open_file<std::ofstream>(args.get("trace"));
     core::write_chrome_trace(out, report);
-    std::cout << "Chrome trace written to " << args.get("trace", "")
+    std::cout << "Chrome trace written to " << args.get("trace")
               << " (open in ui.perfetto.dev)\n";
   }
   return 0;
 }
 
-}  // namespace
-
-namespace {
-
 int cmd_record(const Args& args) {
   if (!args.has("bench") || !args.has("out")) return usage();
-  workload::BenchmarkProfile prof;
-  try {
-    prof = workload::spec2006_profile(args.get("bench", ""));
-  } catch (const std::out_of_range& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
   const u64 n = opt_u64(args, "instr", 100000);
-  workload::TraceGenerator gen(prof);
+  workload::TraceGenerator gen(profile_named(args.get("bench")));
   const auto trace = workload::record_trace(gen, n);
-  std::ofstream out(args.get("out", ""));
-  if (!out) {
-    std::cerr << "cannot open " << args.get("out", "") << "\n";
-    return 2;
-  }
+  std::ofstream out = open_file<std::ofstream>(args.get("out"));
   workload::write_trace(out, trace);
-  std::cout << "wrote " << trace.size() << " instructions to " << args.get("out", "") << "\n";
+  std::cout << "wrote " << trace.size() << " instructions to " << args.get("out") << "\n";
   return 0;
 }
 
 int cmd_replay(const Args& args) {
-  refuse_unread(args, kReplayOptions, "replay");
   if (!args.has("trace") || !args.has("scheme")) return usage();
-  std::ifstream in(args.get("trace", ""));
-  if (!in) {
-    std::cerr << "cannot open " << args.get("trace", "") << "\n";
-    return 2;
-  }
+  std::ifstream in = open_file<std::ifstream>(args.get("trace"));
   std::optional<workload::TraceFileSource> trace;
   try {
     trace.emplace(in, /*loop=*/true);
@@ -644,38 +441,25 @@ int cmd_replay(const Args& args) {
   workload::BenchmarkProfile prof;
   prof.name = "trace-file";
   prof.seed = opt_u64(args, "seed", prof.seed);
-  return run_and_report(args, prof, &*trace, &base_trace);
+  run_and_report(args, prof, &*trace, &base_trace);
+  return 0;
 }
 
 int cmd_snap_save(const Args& args) {
   if (!args.has("bench") || !args.has("scheme") || !args.has("out")) return usage();
-  const auto scheme = core::scheme_by_name(args.get("scheme", ""));
-  if (!scheme) {
-    std::cerr << "unknown scheme '" << args.get("scheme", "") << "'\n";
-    return 2;
-  }
-  workload::BenchmarkProfile prof;
-  try {
-    prof = workload::spec2006_profile(args.get("bench", ""));
-  } catch (const std::out_of_range& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
+  const std::optional<cpu::SchemeConfig> scheme = scheme_named(args.get("scheme"));
+  const workload::BenchmarkProfile prof = profile_named(args.get("bench"));
   const double vdd = opt_double(args, "vdd", 0.97);
   const core::RunnerConfig rc = runner_config(args);
   const u64 at = opt_u64(args, "at", rc.warmup);
-  // Like run/sweep, the "fault-free" scheme name selects the baseline
-  // wiring: no fault model, no predictors.
-  const std::optional<cpu::SchemeConfig> scheme_opt =
-      scheme->name == "fault-free" ? std::optional<cpu::SchemeConfig>{} : scheme;
   try {
     const core::ExperimentRunner runner(rc);
-    const core::RunSnapshot snap = runner.capture(prof, scheme_opt, vdd, at);
-    snap.write_file(args.get("out", ""));
-    std::cout << "snapshot of " << prof.name << " / " << args.get("scheme", "") << " @ "
+    const core::RunSnapshot snap = runner.capture(prof, scheme, vdd, at);
+    snap.write_file(args.get("out"));
+    std::cout << "snapshot of " << prof.name << " / " << args.get("scheme") << " @ "
               << TextTable::fmt(vdd, 2) << " V at commit " << snap.meta().captured_committed
               << " (cycle " << snap.meta().captured_cycle << ") written to "
-              << args.get("out", "") << "\n";
+              << args.get("out") << "\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
@@ -738,19 +522,65 @@ int cmd_snap_info(const std::string& path) {
   }
 }
 
-int cmd_snap(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string sub = argv[2];
-  if (sub == "info") {
-    if (argc != 4 || std::string(argv[3]).rfind("--", 0) == 0) return usage();
-    return cmd_snap_info(argv[3]);
+/// One verb: the words that select it, how a refusal names it, and its
+/// synopsis, which declares every option it reads.
+struct Verb {
+  std::string_view words;
+  std::string_view who;
+  std::string_view synopsis;
+  int (*cmd)(const Args&);
+};
+
+// With --from-snapshot, `run` takes its workload and configuration from the
+// snapshot, so it reads a shorter list of its own.
+constexpr Verb kVerbs[] = {
+    {"list", "list", "", cmd_list},
+    {"run", "run",
+     "--bench <name> --scheme fault-free|razor|ep|abs|ffs|cds [--vdd V]\n"
+     "[--instr N] [--warmup N] [--predictor tep|mre|tvp] [--iq N] [--rob N] [--phys N]\n"
+     "[--kanata FILE] [--trace FILE] [--timeline FILE] [--timeline-interval K]\n"
+     "[--dvfs static|reactive|predictive] [--epoch N] [--period-min P] [--period-max P]\n"
+     "[--stats] [--csv] [--cpi] [--progress] [--profile]",
+     cmd_run},
+    {"run --from-snapshot", "--from-snapshot",
+     "FILE [--instr N] [--timeline FILE] [--timeline-interval K]\n"
+     "[--stats] [--csv] [--cpi] [--progress] [--profile]",
+     cmd_run_from_snapshot},
+    {"sweep", "sweep",
+     "--bench <name>|all [--instr N] [--warmup N] [--jobs N]\n"
+     "[--predictor tep|mre|tvp] [--iq N] [--rob N] [--phys N]\n"
+     "[--json FILE] [--trace FILE] [--timeline-interval K]\n"
+     "[--dvfs static|reactive|predictive] [--epoch N] [--period-min P] [--period-max P]\n"
+     "[--cpi] [--progress] [--profile]",
+     cmd_sweep},
+    {"record", "record", "--bench <name> --out FILE [--instr N]", cmd_record},
+    {"replay", "replay",
+     "--trace FILE --scheme <name> [--seed S] [--vdd V]\n"
+     "[--instr N] [--warmup N] [--predictor tep|mre|tvp] [--iq N] [--rob N] [--phys N]\n"
+     "[--kanata FILE] [--timeline FILE] [--timeline-interval K]\n"
+     "[--dvfs static|reactive|predictive] [--epoch N] [--period-min P] [--period-max P]\n"
+     "[--stats] [--csv] [--cpi] [--progress] [--profile]",
+     cmd_replay},
+    {"snap save", "snap save",
+     "--bench <name> --scheme <name> --out FILE [--vdd V] [--at N]\n"
+     "[--instr N] [--warmup N] [--predictor tep|mre|tvp] [--iq N] [--rob N] [--phys N]\n"
+     "[--timeline-interval K]\n"
+     "[--dvfs static|reactive|predictive] [--epoch N] [--period-min P] [--period-max P]",
+     cmd_snap_save},
+};
+
+cli::OptionSet reads_of(const Verb& v) {
+  return cli::declared_options(std::string(v.words) + " " + std::string(v.synopsis));
+}
+
+int usage() {
+  std::cerr << "usage:\n";
+  for (const Verb& v : kVerbs) {
+    const std::string head = "  vasim " + std::string(v.words) + (v.synopsis.empty() ? "" : " ");
+    std::cerr << cli::usage_line(head, v.synopsis) << "\n";
   }
-  if (sub == "save") {
-    Args a;
-    if (!parse_options(3, argc, argv, a)) return usage();
-    return cmd_snap_save(a);
-  }
-  return usage();
+  std::cerr << "  vasim snap info FILE\n";
+  return 2;
 }
 
 }  // namespace
@@ -758,21 +588,36 @@ int cmd_snap(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     if (argc < 2) return usage();
-    const std::string verb = argv[1];
-    if (verb == "snap") return cmd_snap(argc, argv);
+    std::string words = argv[1];
+    int first = 2;
+    if (words == "snap" && argc >= 3) {
+      words += " " + std::string(argv[2]);
+      first = 3;
+      if (words == "snap info") {
+        if (argc != 4 || std::string_view(argv[3]).rfind("--", 0) == 0) return usage();
+        return cmd_snap_info(argv[3]);
+      }
+    }
+    if (words == "run" && std::find(argv + first, argv + argc,
+                                    std::string_view("--from-snapshot")) != argv + argc) {
+      words += " --from-snapshot";
+    }
     // An unknown verb gets the usage text before any of its options is read.
-    const std::map<std::string, int (*)(const Args&)> verbs = {
-        {"list", [](const Args&) { return cmd_list(); }},
-        {"run", cmd_run},
-        {"sweep", cmd_sweep},
-        {"record", cmd_record},
-        {"replay", cmd_replay}};
-    const auto it = verbs.find(verb);
+    const Verb* verb = std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                                    [&](const Verb& v) { return v.words == words; });
+    if (verb == std::end(kVerbs)) return usage();
+    cli::OptionSet known;
+    for (const Verb& v : kVerbs) {
+      const cli::OptionSet reads = reads_of(v);
+      known.insert(reads.begin(), reads.end());
+    }
     Args args;
-    if (it == verbs.end() || !parse_options(2, argc, argv, args)) return usage();
-    return it->second(args);
+    if (!cli::parse_options(first, argc, argv, reads_of(*verb), known, verb->who, args)) {
+      return usage();
+    }
+    return verb->cmd(args);
   } catch (const std::invalid_argument& e) {
-    // Config validation (validate_core_config, option parsing) reports the
+    // Option parsing and config validation (validate_core_config) report the
     // named constraint; anything else is a real bug and may terminate.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
